@@ -15,11 +15,8 @@ from .errors import (
     SpecError,
 )
 from .series import (
-    REFLECT,
-    ScalarAffine,
     SeriesSet,
     TimeSeries,
-    affine,
     constant_series,
     is_constant,
     load_set,
@@ -27,7 +24,6 @@ from .series import (
 )
 from .estimates import (
     ArithmeticMean,
-    EstimateTraits,
     GeneralizedMidrange,
     Max,
     Median,
@@ -38,13 +34,10 @@ from .estimates import (
     OrderedWeightedMean,
     Projection,
     Range,
-    ScaleTraits,
     TruncatedMean,
     WeightedMean,
     central,
-    estimate_traits,
     scale,
-    scale_traits,
 )
 from .standardize import (
     Center,
@@ -60,10 +53,8 @@ from .measures import (
     DissimilaritySpec,
     ExpDecay,
     GeneralizedMidrangeCorrelation,
-    LinearComplement,
     MinkowskiBranch,
     MinkowskiContrast,
-    OneMinus,
     Pearson,
     PowerHalf,
     RationalDecay,
@@ -77,9 +68,7 @@ from .measures import (
     decay,
     dissimilarity,
     grow,
-    is_verified,
     similarity,
-    to_distance,
 )
 from .axioms import (
     SAM_PROPERTIES,
@@ -89,7 +78,6 @@ from .axioms import (
     PropertyReport,
     applicable_properties,
     coverage_suite,
-    implication_checks,
     replay,
     subject_kind,
     verify,

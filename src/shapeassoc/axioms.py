@@ -20,17 +20,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, SpecError
-from . import config
+from .config import to_dict
 from .measures import (
     DissimilaritySpec,
     MeasureSpec,
     SimilarityRecipe,
     associate_values,
-    decay,
     dissimilarity_values,
-    measure_length_bounds,
 )
-from .standardize import flags, length_bounds
 
 
 class PropertyId(enum.Enum):
@@ -105,7 +102,13 @@ _OFFSET_RANGE = 10.0
 class AbsSimilarity:
     """|A| of a measure, verified as a similarity in [0, 1]."""
 
+    tag = "abs-similarity"
+    kind = _SIM
     measure: MeasureSpec
+    bounds = property(lambda self: self.measure.bounds)
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        return abs(associate_values(self.measure, vx, vy))
 
 
 @dataclass(frozen=True)
@@ -120,65 +123,42 @@ class Probe:
     fn: Callable[[np.ndarray, np.ndarray], float]
     name: str
     min_n: int = 2
+    bounds = property(lambda self: (self.min_n, None))
 
     def __post_init__(self):
         if self.kind not in (_ASSOC, _SIM, _DISSIM):
             raise SpecError(f"unknown subject kind {self.kind!r}")
 
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        return self.fn(vx, vy)
+
 
 def subject_kind(subject) -> str:
-    if isinstance(subject, Probe):
-        return subject.kind
-    if isinstance(subject, AbsSimilarity):
-        return _SIM
-    if isinstance(subject, SimilarityRecipe):
-        return _SIM
-    if isinstance(subject, DissimilaritySpec):
-        return _DISSIM
-    return _ASSOC
+    """What the subject computes: "association", "similarity" or "dissimilarity"."""
+    return subject.kind
 
 
 def _evaluator(subject) -> Callable[[np.ndarray, np.ndarray], float]:
-    if isinstance(subject, Probe):
-        return subject.fn
-    if isinstance(subject, AbsSimilarity):
-        return lambda vx, vy: abs(associate_values(subject.measure, vx, vy))
-    if isinstance(subject, SimilarityRecipe):
-        return lambda vx, vy: decay(subject.decay, dissimilarity_values(subject.dissim, vx, vy))
+    # measures and dissimilarities go through their module-level entry points;
+    # associate_values holds the constant-series check
+    if isinstance(subject, MeasureSpec):
+        return lambda vx, vy: associate_values(subject, vx, vy)
     if isinstance(subject, DissimilaritySpec):
         return lambda vx, vy: dissimilarity_values(subject, vx, vy)
-    return lambda vx, vy: associate_values(subject, vx, vy)
+    return subject.evaluate
 
 
-def _subject_length_bounds(subject) -> tuple[int, int | None]:
-    if isinstance(subject, Probe):
-        return subject.min_n, None
-    if isinstance(subject, AbsSimilarity):
-        return measure_length_bounds(subject.measure)
-    if isinstance(subject, SimilarityRecipe):
-        return length_bounds(subject.dissim.standardization)
-    if isinstance(subject, DissimilaritySpec):
-        return length_bounds(subject.standardization)
-    return measure_length_bounds(subject)
-
-
-def _normality_order(subject) -> float | None:
-    """Order at which standardized vectors are unit, for the D <= 2 bound."""
-    if isinstance(subject, DissimilaritySpec):
-        f = flags(subject.standardization)
-        if f.normality_order == subject.r:
-            return subject.r
+def _upper(subject) -> float | None:
+    """Upper bound of a dissimilarity whose standardized vectors are unit."""
+    if isinstance(subject, DissimilaritySpec) and subject.normal:
+        return 2.0
     return None
 
 
 def describe_subject(subject) -> dict:
     if isinstance(subject, Probe):
         return {"subject": subject.kind, "kind": "probe", "name": subject.name}
-    if isinstance(subject, AbsSimilarity):
-        inner = config.subject_to_dict(subject.measure)
-        inner.pop("subject", None)
-        return {"subject": _SIM, "kind": "abs-similarity", "measure": inner}
-    return config.subject_to_dict(subject)
+    return {"subject": subject.kind, **to_dict(subject)}
 
 
 # --- deterministic input generation -------------------------------------------
@@ -440,10 +420,10 @@ def verify(
             if not isinstance(p, PropertyId):
                 raise SpecError(f"not a PropertyId: {p!r}")
     ev = _evaluator(subject)
-    min_n, exact_n = _subject_length_bounds(subject)
+    min_n, exact_n = subject.bounds
     lo = max(lo_req, min_n)
     hi = max(hi_req, lo)
-    upper = 2.0 if _normality_order(subject) is not None else None
+    upper = _upper(subject)
     prop_order = {p: i for i, p in enumerate(PropertyId)}
     results = []
     for prop in props:
@@ -513,196 +493,8 @@ def replay(subject, witness: Witness) -> float:
         ev,
         subject_kind(subject),
         dict(witness.params),
-        2.0 if _normality_order(subject) is not None else None,
+        _upper(subject),
     )
-
-
-# --- implications between reflection properties ---------------------------------
-#
-# These relationships are facts about ANY symmetric reflexive similarity, not
-# about a particular measure, so they are checked on synthetic similarity
-# tables over signed items rather than on series.
-
-
-class _SignedTable:
-    """Symmetric similarity over items (index, sign), sign in {+1, -1}."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self._values: dict = {}
-
-    def keys(self):
-        items = [(i, s) for i in range(self.size) for s in (1, -1)]
-        for a in range(len(items)):
-            for b in range(a, len(items)):
-                yield items[a], items[b]
-
-    @staticmethod
-    def _key(u, v):
-        return (u, v) if u <= v else (v, u)
-
-    def set(self, u, v, value: float) -> None:
-        self._values[self._key(u, v)] = float(value)
-
-    def get(self, u, v) -> float:
-        return self._values[self._key(u, v)]
-
-
-def _neg(item):
-    return (item[0], -item[1])
-
-
-def _table_sign_independent(rng: np.random.Generator, size: int) -> _SignedTable:
-    """S depends only on the unordered index pair: reflection invariant."""
-    base = rng.uniform(0.0, 1.0, (size, size))
-    base = (base + base.T) / 2.0
-    t = _SignedTable(size)
-    for u, v in t.keys():
-        t.set(u, v, 1.0 if u[0] == v[0] else base[u[0], v[0]])
-    return t
-
-
-def _table_sign_product(rng: np.random.Generator, size: int) -> _SignedTable:
-    """S flips to its complement when exactly one sign flips: complement rule."""
-    base = rng.uniform(0.0, 1.0, (size, size))
-    base = (base + base.T) / 2.0
-    np.fill_diagonal(base, 1.0)
-    t = _SignedTable(size)
-    for u, v in t.keys():
-        b = base[u[0], v[0]]
-        t.set(u, v, b if u[1] * v[1] == 1 else 1.0 - b)
-    return t
-
-
-def _table_arbitrary(rng: np.random.Generator, size: int) -> _SignedTable:
-    """Symmetric, reflexive, but otherwise unstructured."""
-    t = _SignedTable(size)
-    for u, v in t.keys():
-        t.set(u, v, 1.0 if u == v else float(rng.uniform(0.0, 1.0)))
-    return t
-
-
-def _max_violation(t: _SignedTable, predicate) -> float:
-    worst = 0.0
-    for u, v in t.keys():
-        worst = max(worst, predicate(t, u, v))
-    return worst
-
-
-def _viol_reflection_invariance(t, u, v):
-    return abs(t.get(_neg(u), v) - t.get(u, v))
-
-
-def _viol_complement(t, u, v):
-    return abs(t.get(_neg(u), v) - (1.0 - t.get(u, v)))
-
-
-def _viol_sign_permutation(t, u, v):
-    return abs(t.get(_neg(u), v) - t.get(u, _neg(v)))
-
-
-def _viol_sign_cancellation(t, u, v):
-    return abs(t.get(_neg(u), _neg(v)) - t.get(u, v))
-
-
-def _reflection_similarities(t: _SignedTable):
-    return [t.get((i, 1), (i, -1)) for i in range(t.size)]
-
-
-@dataclass(frozen=True)
-class ImplicationResult:
-    name: str
-    trials: int
-    status: str  # "pass" | "fail"
-    detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "status": self.status,
-            "detail": self.detail,
-        }
-
-
-@dataclass(frozen=True)
-class ImplicationReport:
-    seed: int
-    results: tuple[ImplicationResult, ...]
-
-    def passed(self) -> bool:
-        return all(r.status == "pass" for r in self.results)
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "results": [r.to_dict() for r in self.results]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def implication_checks(seed: int = 0, trials: int = 200) -> ImplicationReport:
-    """Validate the logical relationships between the reflection properties.
-
-    Each check constructs random tables on the hypothesis side and measures
-    the conclusion; a single counterexample fails the check. These are
-    mathematical facts, so all checks are expected to pass; a failure means
-    the property encodings in this module are wrong.
-    """
-    checks = []
-
-    def run(name: str, one_trial) -> None:
-        worst_detail = ""
-        status = "pass"
-        for t in range(trials):
-            rng = np.random.default_rng([seed, len(checks), t])
-            size = int(rng.integers(3, 7))
-            ok, detail = one_trial(rng, size)
-            if not ok:
-                status = "fail"
-                worst_detail = f"trial {t}: {detail}"
-                break
-        checks.append(ImplicationResult(name, trials, status, worst_detail))
-
-    def refl_inv_implies_similarity(rng, size):
-        t = _table_sign_independent(rng, size)
-        bad = max(abs(s - 1.0) for s in _reflection_similarities(t))
-        return bad == 0.0, f"reflection similarity deviates by {bad!r}"
-
-    def complement_implies_non_similarity(rng, size):
-        t = _table_sign_product(rng, size)
-        bad = max(abs(s) for s in _reflection_similarities(t))
-        return bad == 0.0, f"reflection similarity deviates from 0 by {bad!r}"
-
-    def refl_inv_excludes_complement(rng, size):
-        t = _table_sign_independent(rng, size)
-        # at a reflected pair the complement rule would force 1 == 0
-        bad = _max_violation(t, _viol_complement)
-        return bad >= 1.0, f"complement violation only {bad!r}"
-
-    def non_similarity_implies_weak(rng, size):
-        t = _table_sign_product(rng, size)
-        bad = max(s - 1.0 for s in _reflection_similarities(t))
-        return bad <= 0.0, f"weak similarity exceeded by {bad!r}"
-
-    def permutation_matches_cancellation(rng, size):
-        t = _table_arbitrary(rng, size)
-        perm = _max_violation(t, _viol_sign_permutation)
-        canc = _max_violation(t, _viol_sign_cancellation)
-        return abs(perm - canc) < 1e-15, f"permutation {perm!r} vs cancellation {canc!r}"
-
-    def sign_product_satisfies_both(rng, size):
-        t = _table_sign_product(rng, size)
-        perm = _max_violation(t, _viol_sign_permutation)
-        canc = _max_violation(t, _viol_sign_cancellation)
-        return perm == 0.0 and canc == 0.0, f"permutation {perm!r}, cancellation {canc!r}"
-
-    run("reflection-invariance-implies-similarity-of-reflections", refl_inv_implies_similarity)
-    run("complement-implies-non-similarity-of-reflections", complement_implies_non_similarity)
-    run("reflection-invariance-excludes-complement", refl_inv_excludes_complement)
-    run("non-similarity-implies-weak-similarity", non_similarity_implies_weak)
-    run("sign-permutation-matches-sign-cancellation", permutation_matches_cancellation)
-    run("sign-product-family-satisfies-both-sign-rules", sign_product_satisfies_both)
-    return ImplicationReport(seed=seed, results=tuple(checks))
 
 
 # --- built-in coverage suite ------------------------------------------------------

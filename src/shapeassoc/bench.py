@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
 from .cluster import SimilarityMatrix, contains_cluster, single_linkage
-from .config import measure_from_dict, measure_to_dict
+from .config import from_dict, to_dict
 from .datasets import parse_dataset
 from .errors import SpecError
 from .estimates import (
@@ -42,12 +42,26 @@ from .series import SeriesSet, load_set
 from .standardize import CenterScale
 
 
+class DatasetSpec:
+    """Family base: where a benchmark's series come from.
+
+    `load()` returns the series set and the planted cluster id sets, or None
+    when the dataset does not know its clusters.
+    """
+
+    tag: ClassVar[str]
+
+
 @dataclass(frozen=True)
-class FileDataset:
+class FileDataset(DatasetSpec):
+    tag = "file"
     path: str
     delimiter: str = "whitespace"
     orientation: str = "auto"
     has_ids: bool = False
+
+    def load(self) -> tuple[SeriesSet, None]:
+        return parse_dataset(self.path, self.delimiter, self.orientation, self.has_ids), None
 
 
 @dataclass(frozen=True)
@@ -78,7 +92,7 @@ DEFAULT_CLUSTERS = (
 
 
 @dataclass(frozen=True)
-class SyntheticDataset:
+class SyntheticDataset(DatasetSpec):
     """Planted-cluster generator: each cluster is affine copies of one shape.
 
     Cluster base shapes are sums of three sinusoids whose integer frequencies
@@ -88,6 +102,7 @@ class SyntheticDataset:
     noise_scale * range of the scaled base.
     """
 
+    tag = "synthetic"
     seed: int = 0
     length: int = 365
     noise_scale: float = 0.05
@@ -102,8 +117,8 @@ class SyntheticDataset:
             raise SpecError("synthetic dataset needs at least one cluster")
         object.__setattr__(self, "clusters", tuple(self.clusters))
 
-
-DatasetSpec = Union[FileDataset, SyntheticDataset]
+    def load(self) -> tuple[SeriesSet, tuple[frozenset, ...]]:
+        return generate_synthetic(self)
 
 
 def generate_synthetic(spec: SyntheticDataset) -> tuple[SeriesSet, tuple[frozenset, ...]]:
@@ -136,15 +151,6 @@ def generate_synthetic(spec: SyntheticDataset) -> tuple[SeriesSet, tuple[frozens
             next_id += 1
         planted.append(frozenset(member_ids))
     return load_set(rows), tuple(planted)
-
-
-def load_dataset(spec: DatasetSpec) -> tuple[SeriesSet, tuple[frozenset, ...] | None]:
-    if isinstance(spec, SyntheticDataset):
-        return generate_synthetic(spec)
-    if isinstance(spec, FileDataset):
-        data = parse_dataset(spec.path, spec.delimiter, spec.orientation, spec.has_ids)
-        return data, None
-    raise SpecError(f"unknown dataset spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -295,29 +301,9 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def _dataset_summary(spec: DatasetSpec) -> dict:
-    if isinstance(spec, SyntheticDataset):
-        return {
-            "kind": "synthetic",
-            "seed": spec.seed,
-            "length": spec.length,
-            "noise_scale": spec.noise_scale,
-            "clusters": [
-                {"size": c.size, "inverted": list(c.inverted)} for c in spec.clusters
-            ],
-        }
-    return {
-        "kind": "file",
-        "path": spec.path,
-        "delimiter": spec.delimiter,
-        "orientation": spec.orientation,
-        "has_ids": spec.has_ids,
-    }
-
-
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
     """Evaluate every configured measure; constant series skip the runs."""
-    data, planted = load_dataset(spec.dataset)
+    data, planted = spec.dataset.load()
     if spec.true_clusters is not None:
         true_clusters = tuple(tuple(c) for c in spec.true_clusters)
     elif planted is not None:
@@ -372,7 +358,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
             )
         )
     return BenchmarkReport(
-        dataset=_dataset_summary(spec.dataset),
+        dataset=to_dict(spec.dataset),
         ids=data.ids,
         true_clusters=true_clusters,
         constant_series=constants,
@@ -389,75 +375,24 @@ def benchmark_spec_from_dict(d: dict) -> BenchmarkSpec:
     d = dict(d)
     if "dataset" not in d:
         raise SpecError("benchmark config needs a 'dataset' entry")
-    ds = d.pop("dataset")
-    if not isinstance(ds, dict) or "kind" not in ds:
-        raise SpecError("dataset entry must be an object with a 'kind'")
-    ds = dict(ds)
-    kind = ds.pop("kind")
-    if kind == "file":
-        dataset: DatasetSpec = FileDataset(
-            path=str(ds.pop("path")),
-            delimiter=str(ds.pop("delimiter", "whitespace")),
-            orientation=str(ds.pop("orientation", "auto")),
-            has_ids=bool(ds.pop("has_ids", False)),
-        )
-    elif kind == "synthetic":
-        clusters = ds.pop("clusters", None)
-        if clusters is None:
-            parsed = DEFAULT_CLUSTERS
-        else:
-            parsed = tuple(
-                SyntheticCluster(int(c.get("size")), tuple(c.get("inverted", ())))
-                for c in clusters
-            )
-        dataset = SyntheticDataset(
-            seed=int(ds.pop("seed", 0)),
-            length=int(ds.pop("length", 365)),
-            noise_scale=float(ds.pop("noise_scale", 0.05)),
-            clusters=parsed,
-        )
-    else:
-        raise SpecError(f"unknown dataset kind {kind!r}")
-    if ds:
-        raise SpecError(f"unknown keys for dataset: {sorted(ds)}")
-
-    measures_cfg = d.pop("measures", "default-grid")
-    if measures_cfg == "default-grid":
+    measures = d.pop("measures", "default-grid")
+    if measures == "default-grid":
         expectations = d.pop("expectations", "all")
         if expectations is not None and not isinstance(expectations, (str, dict)):
             raise SpecError("expectations must be a string, object, or null")
         measures = default_grid_measures(expectations)
-    else:
-        if "expectations" in d:
-            raise SpecError("'expectations' only applies to the default grid")
-        if not isinstance(measures_cfg, list) or not measures_cfg:
-            raise SpecError("measures must be 'default-grid' or a non-empty list")
-        measures = []
-        for entry in measures_cfg:
-            if not isinstance(entry, dict):
-                raise SpecError(f"measure entry must be an object, got {entry!r}")
-            entry = dict(entry)
-            name = str(entry.pop("name"))
-            expect = entry.pop("expect", None)
-            measure = measure_from_dict(entry.pop("measure"))
-            if entry:
-                raise SpecError(f"unknown keys for measure {name!r}: {sorted(entry)}")
-            measures.append(BenchmarkMeasure(name, measure, expect))
-        measures = tuple(measures)
-
-    true_clusters = d.pop("true_clusters", None)
-    if true_clusters is not None:
-        true_clusters = tuple(tuple(str(i) for i in c) for c in true_clusters)
-    if d:
-        raise SpecError(f"unknown keys for benchmark config: {sorted(d)}")
-    return BenchmarkSpec(dataset=dataset, measures=measures, true_clusters=true_clusters)
+    elif "expectations" in d:
+        raise SpecError("'expectations' only applies to the default grid")
+    elif not isinstance(measures, list) or not measures:
+        raise SpecError("measures must be 'default-grid' or a non-empty list")
+    return from_dict({**d, "measures": measures}, BenchmarkSpec)
 
 
 def benchmark_spec_to_dict(spec: BenchmarkSpec) -> dict:
     out = {
-        "dataset": _dataset_summary(spec.dataset),
+        "dataset": to_dict(spec.dataset),
         "measures": [
-            {"name": m.name, "expect": m.expect, "measure": measure_to_dict(m.measure)}
+            {"name": m.name, "expect": m.expect, "measure": to_dict(m.measure)}
             for m in spec.measures
         ],
     }

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import axioms as ax
 from .bench import benchmark_spec_from_dict, default_synthetic_spec, run_benchmark
 from .cluster import SimilarityMatrix, single_linkage
-from .config import measure_from_dict, standardization_from_dict
+from .config import MEASURE_SHORTHANDS, from_dict
 from .datasets import (
     format_matrix_csv,
     format_series_csv,
@@ -25,11 +25,9 @@ from .datasets import (
     write_text,
 )
 from .errors import ShapeAssocError
-from .measures import associate, association_matrix
+from .measures import MeasureSpec, associate, association_matrix
 from .series import SeriesSet
-from .standardize import standardize
-
-_MEASURE_SHORTHANDS = ("pearson", "cosine", "gmidrange-correlation")
+from .standardize import Standardization, standardize
 
 
 def _default_seed() -> int:
@@ -49,20 +47,20 @@ def _load_json(path: str):
 
 
 def _measure_from_arg(arg: str):
-    if arg in _MEASURE_SHORTHANDS:
-        return measure_from_dict(arg)
+    if arg in MEASURE_SHORTHANDS:
+        return from_dict(arg, MeasureSpec)
     if Path(arg).exists():
-        return measure_from_dict(_load_json(arg))
+        return from_dict(_load_json(arg), MeasureSpec)
     raise ShapeAssocError(
-        f"measure {arg!r} is neither a shorthand ({', '.join(_MEASURE_SHORTHANDS)}) "
+        f"measure {arg!r} is neither a shorthand ({', '.join(MEASURE_SHORTHANDS)}) "
         "nor an existing JSON file"
     )
 
 
 def _standardization_from_arg(arg: str):
     if Path(arg).exists():
-        return standardization_from_dict(_load_json(arg))
-    return standardization_from_dict(arg)  # preset name
+        return from_dict(_load_json(arg), Standardization)
+    return from_dict(arg, Standardization)  # preset name
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:

@@ -1,354 +1,120 @@
 """Lossless dict <-> spec conversion for every configurable object.
 
-The dict forms mirror the dataclasses one to one and are what the CLI
-reads from JSON files. Unknown keys are rejected rather than ignored so a
-typoed parameter cannot silently fall back to a default.
+`to_dict` writes a spec as `{"kind": <its tag>}` followed by its dataclass
+fields, under their own names. `from_dict(d, family)` reverses it: the
+"kind" picks the class among the family's subclasses (optional when the
+family is a single tagged class), each value is coerced to its field's type
+hint, and a key may be omitted exactly when its field has a default.
+Unknown keys are rejected rather than ignored so a typoed parameter cannot
+silently fall back to a default. A string names a standardization preset or
+a measure shorthand. These dict forms are what the CLI reads from JSON files.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import dataclasses
+import functools
+import inspect
+import types
+import typing
 
 from .errors import SpecError
-from . import estimates as est
-from . import measures as ms
-from .standardize import Center, CenterScale, Standardization, preset
+from .measures import CosineStandardized, GeneralizedMidrangeCorrelation, MeasureSpec, Pearson
+from .standardize import Standardization, preset
 
-
-_MISSING = object()
-
-
-def _take(d: dict, key: str, default=_MISSING):
-    if key in d:
-        return d.pop(key)
-    if default is _MISSING:
-        raise SpecError(f"missing required key {key!r}")
-    return default
-
-
-def _done(d: dict, what: str) -> None:
-    if d:
-        raise SpecError(f"unknown keys for {what}: {sorted(d)}")
-
-
-# --- central and scale estimates ---------------------------------------------
-
-_CENTRAL_KINDS = {
-    "min": est.Min,
-    "max": est.Max,
-    "midrange": est.Midrange,
-    "median": est.Median,
-    "mean": est.ArithmeticMean,
+MEASURE_SHORTHANDS = {
+    "pearson": lambda: Pearson(),
+    "cosine": lambda: CosineStandardized(preset("unit-mean")),
+    "gmidrange-correlation": lambda: GeneralizedMidrangeCorrelation(0, 2),
 }
 
 
-def central_to_dict(spec: est.CentralEstimate) -> dict:
-    for kind, cls in _CENTRAL_KINDS.items():
-        if isinstance(spec, cls):
-            return {"kind": kind}
-    if isinstance(spec, est.Projection):
-        return {"kind": "projection", "k": spec.k}
-    if isinstance(spec, est.OrderStatistic):
-        return {"kind": "order-statistic", "k": spec.k}
-    if isinstance(spec, est.TruncatedMean):
-        return {"kind": "truncated-mean", "m": spec.m}
-    if isinstance(spec, est.GeneralizedMidrange):
-        return {"kind": "generalized-midrange", "k": spec.k, "m": spec.m}
-    if isinstance(spec, est.WeightedMean):
-        return {"kind": "weighted-mean", "weights": list(spec.weights)}
-    if isinstance(spec, est.OrderedWeightedMean):
-        return {"kind": "ordered-weighted-mean", "weights": list(spec.weights)}
-    raise SpecError(f"unknown central estimate {spec!r}")
-
-
-def central_from_dict(d: Any) -> est.CentralEstimate:
-    if not isinstance(d, dict):
-        raise SpecError(f"central estimate must be an object, got {d!r}")
-    d = dict(d)
-    kind = _take(d, "kind")
-    if kind in _CENTRAL_KINDS:
-        _done(d, kind)
-        return _CENTRAL_KINDS[kind]()
-    if kind == "projection":
-        out = est.Projection(int(_take(d, "k")))
-    elif kind == "order-statistic":
-        out = est.OrderStatistic(int(_take(d, "k")))
-    elif kind == "truncated-mean":
-        out = est.TruncatedMean(int(_take(d, "m")))
-    elif kind == "generalized-midrange":
-        out = est.GeneralizedMidrange(int(_take(d, "k")), int(_take(d, "m")))
-    elif kind == "weighted-mean":
-        out = est.WeightedMean(tuple(_take(d, "weights")))
-    elif kind == "ordered-weighted-mean":
-        out = est.OrderedWeightedMean(tuple(_take(d, "weights")))
-    else:
-        raise SpecError(f"unknown central estimate kind {kind!r}")
-    _done(d, kind)
+def to_dict(spec) -> dict:
+    """JSON-ready form of a spec: its tag as "kind", then its fields."""
+    out = {"kind": spec.tag} if hasattr(spec, "tag") else {}
+    for f in dataclasses.fields(spec):
+        out[f.name] = _plain(getattr(spec, f.name))
     return out
 
 
-def scale_to_dict(spec: est.ScaleEstimate) -> dict:
-    if isinstance(spec, est.Range):
-        return {"kind": "range"}
-    if isinstance(spec, est.MinkowskiDeviation):
-        return {"kind": "minkowski-deviation", "r": spec.r, "center": central_to_dict(spec.center)}
-    raise SpecError(f"unknown scale estimate {spec!r}")
+def _plain(value):
+    if dataclasses.is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
-def scale_from_dict(d: Any) -> est.ScaleEstimate:
-    if not isinstance(d, dict):
-        raise SpecError(f"scale estimate must be an object, got {d!r}")
-    d = dict(d)
-    kind = _take(d, "kind")
-    if kind == "range":
-        _done(d, kind)
-        return est.Range()
-    if kind == "minkowski-deviation":
-        out = est.MinkowskiDeviation(float(_take(d, "r")), central_from_dict(_take(d, "center")))
-        _done(d, kind)
-        return out
-    raise SpecError(f"unknown scale estimate kind {kind!r}")
+def from_dict(d, family):
+    """A spec of `family` (a family base class or one spec class) from its dict form.
 
-
-# --- standardizations ---------------------------------------------------------
-
-
-def standardization_to_dict(spec: Standardization) -> dict:
-    if isinstance(spec, Center):
-        return {"kind": "center", "center": central_to_dict(spec.center)}
-    if isinstance(spec, CenterScale):
-        return {
-            "kind": "center-scale",
-            "center": central_to_dict(spec.center),
-            "spread": scale_to_dict(spec.spread),
-        }
-    raise SpecError(f"unknown standardization {spec!r}")
-
-
-def standardization_from_dict(d: Any) -> Standardization:
-    if isinstance(d, str):
+    A spec that is already an instance of the family passes through.
+    """
+    if isinstance(d, family):
+        return d
+    if isinstance(d, str) and family is Standardization:
         return preset(d)
+    if isinstance(d, str) and family is MeasureSpec:
+        if d not in MEASURE_SHORTHANDS:
+            raise SpecError(f"unknown measure shorthand {d!r}")
+        return MEASURE_SHORTHANDS[d]()
     if not isinstance(d, dict):
-        raise SpecError(f"standardization must be an object or preset name, got {d!r}")
+        raise SpecError(f"{family.__name__} must be an object, got {d!r}")
     d = dict(d)
-    kind = _take(d, "kind")
-    if kind == "preset":
-        name = _take(d, "name")
-        r = float(_take(d, "r", 2.0))
-        k = int(_take(d, "k", 0))
-        m = int(_take(d, "m", 2))
-        _done(d, kind)
-        return preset(name, r=r, k=k, m=m)
-    if kind == "center":
-        out = Center(central_from_dict(_take(d, "center")))
-        _done(d, kind)
-        return out
-    if kind == "center-scale":
-        out = CenterScale(
-            central_from_dict(_take(d, "center")),
-            scale_from_dict(_take(d, "spread")),
-        )
-        _done(d, kind)
-        return out
-    raise SpecError(f"unknown standardization kind {kind!r}")
+    kinds = {cls.tag: cls for cls in family.__subclasses__()}
+    if family is Standardization:
+        kinds["preset"] = preset  # {"kind": "preset", "name": ..., "r": ...}
+    if not kinds:
+        tag = getattr(family, "tag", None)
+        kinds = {tag: family}
+        d.setdefault("kind", tag)
+    if "kind" not in d:
+        raise SpecError(f"missing required key 'kind' for {family.__name__}")
+    kind = d.pop("kind")
+    try:
+        ctor = kinds[kind]
+    except (KeyError, TypeError):
+        raise SpecError(f"unknown {family.__name__} kind {kind!r}") from None
+    return _build(ctor, d, kind or family.__name__)
 
 
-# --- transforms ----------------------------------------------------------------
-
-
-def decay_to_dict(spec: ms.DecayTransform) -> dict:
-    if isinstance(spec, ms.RationalDecay):
-        return {"kind": "rational-decay", "k": spec.k}
-    if isinstance(spec, ms.ExpDecay):
-        return {"kind": "exp-decay"}
-    if isinstance(spec, ms.ComplementDecay):
-        return {"kind": "complement-decay", "growth": growth_to_dict(spec.growth), "cap": spec.cap}
-    raise SpecError(f"unknown decay transform {spec!r}")
-
-
-def decay_from_dict(d: Any) -> ms.DecayTransform:
-    if not isinstance(d, dict):
-        raise SpecError(f"decay transform must be an object, got {d!r}")
-    d = dict(d)
-    kind = _take(d, "kind")
-    if kind == "rational-decay":
-        out = ms.RationalDecay(float(_take(d, "k", 1.0)))
-    elif kind == "exp-decay":
-        out = ms.ExpDecay()
-    elif kind == "complement-decay":
-        out = ms.ComplementDecay(
-            growth_from_dict(_take(d, "growth", {"kind": "power-half", "p": 2.0})),
-            float(_take(d, "cap", 2.0)),
-        )
-    else:
-        raise SpecError(f"unknown decay transform kind {kind!r}")
-    _done(d, kind)
-    return out
-
-
-def growth_to_dict(spec: ms.GrowthTransform) -> dict:
-    if isinstance(spec, ms.PowerHalf):
-        return {"kind": "power-half", "p": spec.p}
-    raise SpecError(f"unknown growth transform {spec!r}")
-
-
-def growth_from_dict(d: Any) -> ms.GrowthTransform:
-    if not isinstance(d, dict):
-        raise SpecError(f"growth transform must be an object, got {d!r}")
-    d = dict(d)
-    kind = _take(d, "kind")
-    if kind == "power-half":
-        out = ms.PowerHalf(float(_take(d, "p", 2.0)))
-        _done(d, kind)
-        return out
-    raise SpecError(f"unknown growth transform kind {kind!r}")
-
-
-def distance_transform_to_dict(spec: ms.DistanceTransform) -> dict:
-    if isinstance(spec, ms.LinearComplement):
-        return {"kind": "linear-complement", "k": spec.k}
-    if isinstance(spec, ms.OneMinus):
-        return {"kind": "one-minus"}
-    raise SpecError(f"unknown distance transform {spec!r}")
-
-
-def distance_transform_from_dict(d: Any) -> ms.DistanceTransform:
-    if not isinstance(d, dict):
-        raise SpecError(f"distance transform must be an object, got {d!r}")
-    d = dict(d)
-    kind = _take(d, "kind")
-    if kind == "linear-complement":
-        out = ms.LinearComplement(float(_take(d, "k", 1.0)))
-    elif kind == "one-minus":
-        out = ms.OneMinus()
-    else:
-        raise SpecError(f"unknown distance transform kind {kind!r}")
-    _done(d, kind)
-    return out
-
-
-# --- dissimilarities, recipes, measures ----------------------------------------
-
-
-def dissimilarity_to_dict(spec: ms.DissimilaritySpec) -> dict:
-    return {
-        "kind": "minkowski",
-        "r": spec.r,
-        "standardization": standardization_to_dict(spec.standardization),
-    }
-
-
-def dissimilarity_from_dict(d: Any) -> ms.DissimilaritySpec:
-    if not isinstance(d, dict):
-        raise SpecError(f"dissimilarity must be an object, got {d!r}")
-    d = dict(d)
-    kind = _take(d, "kind", "minkowski")
-    if kind != "minkowski":
-        raise SpecError(f"unknown dissimilarity kind {kind!r}")
-    out = ms.DissimilaritySpec(
-        float(_take(d, "r")),
-        standardization_from_dict(_take(d, "standardization")),
+@functools.cache
+def _parameters(ctor) -> tuple[tuple[str, object, bool], ...]:
+    """(name, type hint, required) of each constructor argument, resolved on first use."""
+    hints = typing.get_type_hints(ctor)
+    return tuple(
+        (p.name, hints[p.name], p.default is p.empty)
+        for p in inspect.signature(ctor).parameters.values()
     )
-    _done(d, kind)
-    return out
 
 
-def recipe_to_dict(spec: ms.SimilarityRecipe) -> dict:
-    return {
-        "kind": "similarity-recipe",
-        "dissimilarity": dissimilarity_to_dict(spec.dissim),
-        "decay": decay_to_dict(spec.decay),
-    }
+def _build(ctor, d: dict, what: str):
+    kwargs = {}
+    for name, hint, required in _parameters(ctor):
+        if name in d:
+            kwargs[name] = _coerce(d.pop(name), hint, what, name)
+        elif required:
+            raise SpecError(f"missing required key {name!r} for {what}")
+    if d:
+        raise SpecError(f"unknown keys for {what}: {sorted(d)}")
+    return ctor(**kwargs)
 
 
-def recipe_from_dict(d: Any) -> ms.SimilarityRecipe:
-    if not isinstance(d, dict):
-        raise SpecError(f"similarity recipe must be an object, got {d!r}")
-    d = dict(d)
-    kind = _take(d, "kind", "similarity-recipe")
-    if kind != "similarity-recipe":
-        raise SpecError(f"unknown similarity recipe kind {kind!r}")
-    out = ms.SimilarityRecipe(
-        dissimilarity_from_dict(_take(d, "dissimilarity")),
-        decay_from_dict(_take(d, "decay")),
-    )
-    _done(d, kind)
-    return out
+def _coerce(value, hint, what: str, key: str):
+    try:
+        return _convert(value, hint)
+    except SpecError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{what}: bad value {value!r} for key {key!r}: {exc}") from None
 
 
-def measure_to_dict(spec: ms.MeasureSpec) -> dict:
-    if isinstance(spec, ms.MinkowskiBranch):
-        return {
-            "kind": "minkowski-branch",
-            "dissimilarity": dissimilarity_to_dict(spec.dissim),
-            "decay": decay_to_dict(spec.decay),
-        }
-    if isinstance(spec, ms.MinkowskiContrast):
-        return {
-            "kind": "minkowski-contrast",
-            "dissimilarity": dissimilarity_to_dict(spec.dissim),
-            "growth": growth_to_dict(spec.growth),
-        }
-    if isinstance(spec, ms.SimilarityBranch):
-        return {"kind": "similarity-branch", "recipe": recipe_to_dict(spec.recipe)}
-    if isinstance(spec, ms.SimilarityDifference):
-        return {"kind": "similarity-difference", "recipe": recipe_to_dict(spec.recipe)}
-    if isinstance(spec, ms.SimilarityComplement):
-        return {"kind": "similarity-complement", "recipe": recipe_to_dict(spec.recipe)}
-    if isinstance(spec, ms.Pearson):
-        return {"kind": "pearson"}
-    if isinstance(spec, ms.CosineStandardized):
-        return {"kind": "cosine", "standardization": standardization_to_dict(spec.standardization)}
-    if isinstance(spec, ms.GeneralizedMidrangeCorrelation):
-        return {"kind": "gmidrange-correlation", "k": spec.k, "m": spec.m}
-    raise SpecError(f"unknown measure {spec!r}")
-
-
-def measure_from_dict(d: Any) -> ms.MeasureSpec:
-    if isinstance(d, str):
-        if d == "pearson":
-            return ms.Pearson()
-        if d == "cosine":
-            return ms.CosineStandardized(preset("unit-mean"))
-        if d == "gmidrange-correlation":
-            return ms.GeneralizedMidrangeCorrelation(0, 2)
-        raise SpecError(f"unknown measure shorthand {d!r}")
-    if not isinstance(d, dict):
-        raise SpecError(f"measure must be an object or shorthand name, got {d!r}")
-    d = dict(d)
-    kind = _take(d, "kind")
-    if kind == "minkowski-branch":
-        out = ms.MinkowskiBranch(
-            dissimilarity_from_dict(_take(d, "dissimilarity")),
-            decay_from_dict(_take(d, "decay", {"kind": "rational-decay", "k": 1.0})),
-        )
-    elif kind == "minkowski-contrast":
-        out = ms.MinkowskiContrast(
-            dissimilarity_from_dict(_take(d, "dissimilarity")),
-            growth_from_dict(_take(d, "growth", {"kind": "power-half", "p": 2.0})),
-        )
-    elif kind == "similarity-branch":
-        out = ms.SimilarityBranch(recipe_from_dict(_take(d, "recipe")))
-    elif kind == "similarity-difference":
-        out = ms.SimilarityDifference(recipe_from_dict(_take(d, "recipe")))
-    elif kind == "similarity-complement":
-        out = ms.SimilarityComplement(recipe_from_dict(_take(d, "recipe")))
-    elif kind == "pearson":
-        out = ms.Pearson()
-    elif kind == "cosine":
-        out = ms.CosineStandardized(standardization_from_dict(_take(d, "standardization")))
-    elif kind == "gmidrange-correlation":
-        out = ms.GeneralizedMidrangeCorrelation(int(_take(d, "k", 0)), int(_take(d, "m", 2)))
-    else:
-        raise SpecError(f"unknown measure kind {kind!r}")
-    _done(d, kind)
-    return out
-
-
-def subject_to_dict(subject) -> dict:
-    """Description of any verifiable subject, for reports."""
-    if isinstance(subject, ms.DissimilaritySpec):
-        return {"subject": "dissimilarity", **dissimilarity_to_dict(subject)}
-    if isinstance(subject, ms.SimilarityRecipe):
-        return {"subject": "similarity", **recipe_to_dict(subject)}
-    return {"subject": "association", **measure_to_dict(subject)}
+def _convert(value, hint):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:  # tuple[X, ...]
+        return tuple(_convert(v, args[0]) for v in value)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if value is None else _convert(value, args[0])
+    if hint in (int, float, str, bool):
+        return hint(value)
+    return from_dict(value, hint)

@@ -6,7 +6,7 @@ parses back to the identical double.
 
 from __future__ import annotations
 
-import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +75,19 @@ def parse_dataset_text(
 
     def parse_cell(token: str, ln: int, col: int) -> float:
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise DatasetError(
                 f"{source}: line {ln}, field {col}: cannot parse {token!r} as a number"
             ) from None
+        if not math.isfinite(value):
+            raise DatasetError(f"{source}: line {ln}, field {col}: non-finite value {token!r}")
+        return value
 
+    # field numbers count from the start of the line, id field included
+    first = 2 if has_ids and orientation == "rows" else 1
     values = [
-        [parse_cell(tok, ln, col + 1) for col, tok in enumerate(row)]
+        [parse_cell(tok, ln, col) for col, tok in enumerate(row, start=first)]
         for row, ln in zip(table, line_numbers)
     ]
     data = np.asarray(values, dtype=np.float64)
@@ -158,7 +163,3 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
 
 def write_text(path, text: str) -> None:
     Path(path).write_text(text)
-
-
-def write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,9 +1,10 @@
 """Central (location) and scale estimates used by standardizations.
 
 Every central estimate maps a series to a single number lying between its
-minimum and maximum. Estimates are small frozen spec objects; `central` and
-`scale` evaluate them, `estimate_traits` / `scale_traits` report the algebraic
-behavior that standardizations and measures rely on:
+minimum and maximum. Estimates are small frozen spec objects; each class
+carries its JSON tag, its evaluation (`evaluate`), its length bounds and the
+algebraic traits that standardizations and measures rely on. `central` and
+`scale` evaluate them.
 
 - translation additive:  E(x + q) = E(x) + q
 - scale proportional:    E(p * x) = p * E(x) for p > 0
@@ -13,7 +14,7 @@ behavior that standardizations and measures rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,201 +36,249 @@ def _check_weights(weights) -> tuple[float, ...]:
     return w
 
 
-@dataclass(frozen=True)
-class Min:
-    pass
+def _set_bounds(spec, lo: int, exact: int | None = None) -> None:
+    object.__setattr__(spec, "bounds", (lo, exact))
+
+
+class CentralEstimate:
+    """Family base of the central estimates.
+
+    Every catalog estimate is translation additive and scale proportional.
+    `odd` holds for the symmetric ones; Min/Max/OrderStatistic swap under
+    negation instead (OS_k(-x) = -OS_{n+1-k}(x)), and ordered weighted means
+    are only odd for palindromic weights, which we do not claim. `bounds` is
+    (minimum length, exact length or None), fixed at construction.
+    """
+
+    tag: ClassVar[str]
+    odd: ClassVar[bool] = False
+    bounds = (2, None)
 
 
 @dataclass(frozen=True)
-class Max:
-    pass
+class Min(CentralEstimate):
+    tag = "min"
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float(v.min())
 
 
 @dataclass(frozen=True)
-class Midrange:
+class Max(CentralEstimate):
+    tag = "max"
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float(v.max())
+
+
+@dataclass(frozen=True)
+class Midrange(CentralEstimate):
     """(min + max) / 2."""
 
+    tag = "midrange"
+    odd = True
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float((v.min() + v.max()) / 2.0)
+
 
 @dataclass(frozen=True)
-class Projection:
+class Projection(CentralEstimate):
     """The k-th sample in original order (1-based)."""
 
-    k: int = 1
+    tag = "projection"
+    odd = True
+    k: int
 
     def __post_init__(self):
         if self.k < 1:
             raise SpecError(f"projection index must be >= 1, got {self.k}")
+        _set_bounds(self, max(2, self.k))
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float(v[self.k - 1])
 
 
 @dataclass(frozen=True)
-class OrderStatistic:
+class OrderStatistic(CentralEstimate):
     """The k-th smallest sample (1-based)."""
 
-    k: int = 1
+    tag = "order-statistic"
+    k: int
 
     def __post_init__(self):
         if self.k < 1:
             raise SpecError(f"order statistic index must be >= 1, got {self.k}")
+        _set_bounds(self, max(2, self.k))
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float(np.sort(v)[self.k - 1])
 
 
 @dataclass(frozen=True)
-class Median:
-    pass
+class Median(CentralEstimate):
+    tag = "median"
+    odd = True
+
+    def evaluate(self, v: np.ndarray) -> float:
+        s = np.sort(v)
+        mid = v.size // 2
+        if v.size % 2:
+            return float(s[mid])
+        return float((s[mid - 1] + s[mid]) / 2.0)
 
 
 @dataclass(frozen=True)
-class TruncatedMean:
+class TruncatedMean(CentralEstimate):
     """Mean after dropping the m smallest and m largest samples.
 
     m = 0 gives the arithmetic mean.
     """
 
-    m: int = 1
+    tag = "truncated-mean"
+    odd = True
+    m: int
 
     def __post_init__(self):
         if self.m < 0:
             raise SpecError(f"truncation count must be >= 0, got {self.m}")
+        _set_bounds(self, max(2, 2 * self.m + 1))
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float(np.sort(v)[self.m : v.size - self.m].mean())
 
 
 @dataclass(frozen=True)
-class GeneralizedMidrange:
+class GeneralizedMidrange(CentralEstimate):
     """Mean of the m-k smallest and m-k largest samples, skipping k extremes.
 
     With k=0, m=1 this is the plain midrange.
     """
 
-    k: int = 0
-    m: int = 1
+    tag = "generalized-midrange"
+    odd = True
+    k: int
+    m: int
 
     def __post_init__(self):
         if not 0 <= self.k < self.m:
             raise SpecError(f"need 0 <= k < m, got k={self.k}, m={self.m}")
+        _set_bounds(self, 2 * self.m + 1)
+
+    def evaluate(self, v: np.ndarray) -> float:
+        s = np.sort(v)
+        if self.k == 0 and self.m == 1:
+            # plain midrange, kept exactly equal to Midrange()
+            return float((s[0] + s[-1]) / 2.0)
+        n = v.size
+        low = s[self.k : self.m]
+        high = s[n - self.m : n - self.k]
+        return float((low.sum() + high.sum()) / (2.0 * (self.m - self.k)))
 
 
 @dataclass(frozen=True)
-class ArithmeticMean:
-    pass
+class ArithmeticMean(CentralEstimate):
+    tag = "mean"
+    odd = True
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float(v.mean())
 
 
 @dataclass(frozen=True)
-class WeightedMean:
+class WeightedMean(CentralEstimate):
     """Dot product with a fixed nonnegative weight vector summing to 1.
 
     The weight length pins the series length; weights are never renormalized.
     """
 
+    tag = "weighted-mean"
+    odd = True
     weights: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _check_weights(self.weights))
+        _set_bounds(self, len(self.weights), len(self.weights))
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float(np.dot(self.weights, v))
 
 
 @dataclass(frozen=True)
-class OrderedWeightedMean:
+class OrderedWeightedMean(CentralEstimate):
     """Weighted mean applied to the ascending sort of the samples."""
 
+    tag = "ordered-weighted-mean"
     weights: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _check_weights(self.weights))
+        _set_bounds(self, len(self.weights), len(self.weights))
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float(np.dot(self.weights, np.sort(v)))
 
 
-CentralEstimate = Union[
-    Min,
-    Max,
-    Midrange,
-    Projection,
-    OrderStatistic,
-    Median,
-    TruncatedMean,
-    GeneralizedMidrange,
-    ArithmeticMean,
-    WeightedMean,
-    OrderedWeightedMean,
-]
+class ScaleEstimate:
+    """Family base of the scale estimates.
+
+    Every one is translation invariant and scale proportional; `even` means
+    S(-x) = S(x).
+    """
+
+    tag: ClassVar[str]
+    bounds = (2, None)
 
 
 @dataclass(frozen=True)
-class Range:
+class Range(ScaleEstimate):
     """max - min. Even: Range(-x) = Range(x)."""
 
+    tag = "range"
+    even = True
+
+    def evaluate(self, v: np.ndarray) -> float:
+        return float(v.max() - v.min())
+
 
 @dataclass(frozen=True)
-class MinkowskiDeviation:
-    """(sum_i |x_i - E(x)|**r) ** (1/r) around a central estimate E."""
+class MinkowskiDeviation(ScaleEstimate):
+    """(sum_i |x_i - E(x)|**r) ** (1/r) around a central estimate E.
 
+    Even exactly when its center is odd (then the deviations of -x are the
+    negated deviations of x).
+    """
+
+    tag = "minkowski-deviation"
     r: float
     center: CentralEstimate
 
     def __post_init__(self):
         if not (np.isfinite(self.r) and self.r >= 1.0):
             raise SpecError(f"deviation order must be >= 1, got {self.r!r}")
+        _set_bounds(self, *self.center.bounds)
 
+    @property
+    def even(self) -> bool:
+        return self.center.odd
 
-ScaleEstimate = Union[Range, MinkowskiDeviation]
-
-
-def _require_min_length(spec, n: int) -> None:
-    lo, exact = length_constraints(spec)
-    if exact is not None and n != exact:
-        raise SpecError(f"{type(spec).__name__} weights fix the length to {exact}, got {n}")
-    if n < lo:
-        raise SpecError(f"{type(spec).__name__} needs length >= {lo}, got {n}")
-
-
-def length_constraints(spec) -> tuple[int, int | None]:
-    """(minimum length, exact length or None) implied by spec parameters."""
-    if isinstance(spec, (Projection, OrderStatistic)):
-        return max(2, spec.k), None
-    if isinstance(spec, TruncatedMean):
-        return max(2, 2 * spec.m + 1), None
-    if isinstance(spec, GeneralizedMidrange):
-        return 2 * spec.m + 1, None
-    if isinstance(spec, (WeightedMean, OrderedWeightedMean)):
-        return len(spec.weights), len(spec.weights)
-    if isinstance(spec, MinkowskiDeviation):
-        return length_constraints(spec.center)
-    return 2, None
+    def evaluate(self, v: np.ndarray) -> float:
+        d = np.abs(v - central_values(self.center, v))
+        if self.r == 1.0:
+            return float(d.sum())
+        if self.r == 2.0:
+            return float(np.sqrt(np.dot(d, d)))
+        return float((d ** self.r).sum() ** (1.0 / self.r))
 
 
 def central_values(spec: CentralEstimate, v: np.ndarray) -> float:
     """Evaluate a central estimate on a raw value vector."""
-    n = v.size
-    _require_min_length(spec, n)
-    if isinstance(spec, Min):
-        return float(v.min())
-    if isinstance(spec, Max):
-        return float(v.max())
-    if isinstance(spec, Midrange):
-        return float((v.min() + v.max()) / 2.0)
-    if isinstance(spec, Projection):
-        return float(v[spec.k - 1])
-    if isinstance(spec, OrderStatistic):
-        return float(np.sort(v)[spec.k - 1])
-    if isinstance(spec, Median):
-        s = np.sort(v)
-        mid = n // 2
-        if n % 2:
-            return float(s[mid])
-        return float((s[mid - 1] + s[mid]) / 2.0)
-    if isinstance(spec, TruncatedMean):
-        s = np.sort(v)
-        return float(s[spec.m : n - spec.m].mean())
-    if isinstance(spec, GeneralizedMidrange):
-        s = np.sort(v)
-        if spec.k == 0 and spec.m == 1:
-            # plain midrange, kept exactly equal to Midrange()
-            return float((s[0] + s[-1]) / 2.0)
-        low = s[spec.k : spec.m]
-        high = s[n - spec.m : n - spec.k]
-        return float((low.sum() + high.sum()) / (2.0 * (spec.m - spec.k)))
-    if isinstance(spec, ArithmeticMean):
-        return float(v.mean())
-    if isinstance(spec, WeightedMean):
-        return float(np.dot(spec.weights, v))
-    if isinstance(spec, OrderedWeightedMean):
-        return float(np.dot(spec.weights, np.sort(v)))
-    raise SpecError(f"unknown central estimate {spec!r}")
+    lo, exact = spec.bounds
+    if exact is not None and v.size != exact:
+        raise SpecError(f"{type(spec).__name__} weights fix the length to {exact}, got {v.size}")
+    if v.size < lo:
+        raise SpecError(f"{type(spec).__name__} needs length >= {lo}, got {v.size}")
+    return spec.evaluate(v)
 
 
 def central(spec: CentralEstimate, x: TimeSeries) -> float:
@@ -238,75 +287,8 @@ def central(spec: CentralEstimate, x: TimeSeries) -> float:
 
 def scale_values(spec: ScaleEstimate, v: np.ndarray) -> float:
     """Evaluate a scale estimate on a raw value vector."""
-    if isinstance(spec, Range):
-        return float(v.max() - v.min())
-    if isinstance(spec, MinkowskiDeviation):
-        d = np.abs(v - central_values(spec.center, v))
-        if spec.r == 1.0:
-            return float(d.sum())
-        if spec.r == 2.0:
-            return float(np.sqrt(np.dot(d, d)))
-        return float((d ** spec.r).sum() ** (1.0 / spec.r))
-    raise SpecError(f"unknown scale estimate {spec!r}")
+    return spec.evaluate(v)
 
 
 def scale(spec: ScaleEstimate, x: TimeSeries) -> float:
     return scale_values(spec, x.values)
-
-
-@dataclass(frozen=True)
-class EstimateTraits:
-    translation_additive: bool
-    scale_proportional: bool
-    odd: bool
-
-
-_ODD = (
-    Midrange,
-    Projection,
-    Median,
-    TruncatedMean,
-    GeneralizedMidrange,
-    ArithmeticMean,
-    WeightedMean,
-)
-
-
-def estimate_traits(spec: CentralEstimate) -> EstimateTraits:
-    """Algebraic traits of a central estimate.
-
-    Every catalog estimate is translation additive and scale proportional.
-    Oddness holds for the symmetric ones; Min/Max/OrderStatistic swap under
-    negation instead (OS_k(-x) = -OS_{n+1-k}(x)), and ordered weighted means
-    are only odd for palindromic weights, which we do not claim.
-    """
-    if not isinstance(
-        spec,
-        (Min, Max, OrderStatistic, OrderedWeightedMean) + _ODD,
-    ):
-        raise SpecError(f"unknown central estimate {spec!r}")
-    return EstimateTraits(
-        translation_additive=True,
-        scale_proportional=True,
-        odd=isinstance(spec, _ODD),
-    )
-
-
-@dataclass(frozen=True)
-class ScaleTraits:
-    translation_invariant: bool
-    scale_proportional: bool
-    even: bool
-
-
-def scale_traits(spec: ScaleEstimate) -> ScaleTraits:
-    """Algebraic traits of a scale estimate.
-
-    Range is even outright; a Minkowski deviation is even exactly when its
-    center is odd (then the deviations of -x are the negated deviations of x).
-    """
-    if isinstance(spec, Range):
-        return ScaleTraits(True, True, True)
-    if isinstance(spec, MinkowskiDeviation):
-        return ScaleTraits(True, True, estimate_traits(spec.center).odd)
-    raise SpecError(f"unknown scale estimate {spec!r}")

@@ -22,149 +22,16 @@ accept any recipe unchecked; the axiom harness exists to catch bad ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, ShapeError, SpecError
 from .estimates import GeneralizedMidrange, central_values
 from .series import SeriesSet, TimeSeries, is_constant
-from .standardize import (
-    Standardization,
-    flags,
-    length_bounds,
-    standardize_values,
-)
+from .standardize import Standardization, standardize_values
 
 _BRANCH_TIE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DissimilaritySpec:
-    """Minkowski distance of order r between standardized series."""
-
-    r: float
-    standardization: Standardization
-
-    def __post_init__(self):
-        if not (np.isfinite(self.r) and self.r >= 1.0):
-            raise SpecError(f"Minkowski order must be >= 1, got {self.r!r}")
-
-
-# --- transforms between dissimilarity and similarity ------------------------
-
-
-@dataclass(frozen=True)
-class RationalDecay:
-    """S = k / (d + k): slow rational decay from 1 toward 0."""
-
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.k) and self.k > 0.0):
-            raise SpecError(f"decay constant must be > 0, got {self.k!r}")
-
-
-@dataclass(frozen=True)
-class ExpDecay:
-    """S = exp(-d)."""
-
-
-@dataclass(frozen=True)
-class PowerHalf:
-    """Increasing map W(d) = (d / 2) ** p with W(0) = 0 and W(2) = 1."""
-
-    p: float = 2.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.p) and self.p > 0.0):
-            raise SpecError(f"power must be > 0, got {self.p!r}")
-
-
-GrowthTransform = Union[PowerHalf]
-
-
-@dataclass(frozen=True)
-class ComplementDecay:
-    """S = 1 - W(d) for d in [0, cap]; exact 0 at the cap.
-
-    Unlike the strictly positive decays, this one reaches similarity 0, which
-    is what the difference-form association needs for reflected pairs.
-    """
-
-    growth: GrowthTransform = PowerHalf(2.0)
-    cap: float = 2.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.cap) and self.cap > 0.0):
-            raise SpecError(f"cap must be > 0, got {self.cap!r}")
-        if grow(self.growth, self.cap) > 1.0 + 1e-12:
-            raise SpecError("growth transform must stay within [0, 1] up to the cap")
-
-
-DecayTransform = Union[RationalDecay, ExpDecay, ComplementDecay]
-
-
-@dataclass(frozen=True)
-class LinearComplement:
-    """D = k * (1 - s), mapping similarity 1 to distance 0."""
-
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.k) and self.k > 0.0):
-            raise SpecError(f"slope must be > 0, got {self.k!r}")
-
-
-@dataclass(frozen=True)
-class OneMinus:
-    """D = 1 - s."""
-
-
-DistanceTransform = Union[LinearComplement, OneMinus]
-
-
-def decay(spec: DecayTransform, d: float) -> float:
-    """Similarity from dissimilarity; strictly decreasing with value 1 at 0."""
-    if d < 0.0:
-        raise DomainError(f"dissimilarity must be >= 0, got {d!r}")
-    if isinstance(spec, RationalDecay):
-        return spec.k / (d + spec.k)
-    if isinstance(spec, ExpDecay):
-        return float(np.exp(-d))
-    if isinstance(spec, ComplementDecay):
-        if d > spec.cap * (1.0 + 1e-12):
-            raise DomainError(f"dissimilarity {d!r} exceeds the transform cap {spec.cap!r}")
-        return 1.0 - grow(spec.growth, min(d, spec.cap))
-    raise SpecError(f"unknown decay transform {spec!r}")
-
-
-def grow(spec: GrowthTransform, d: float) -> float:
-    """Increasing map used by the contrast form; 0 at 0, 1 at 2."""
-    if d < 0.0:
-        raise DomainError(f"dissimilarity must be >= 0, got {d!r}")
-    if isinstance(spec, PowerHalf):
-        return float((d / 2.0) ** spec.p)
-    raise SpecError(f"unknown growth transform {spec!r}")
-
-
-def to_distance(spec: DistanceTransform, s: float) -> float:
-    """Dissimilarity from similarity; value 0 at similarity 1."""
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"similarity must be in [0, 1], got {s!r}")
-    if isinstance(spec, LinearComplement):
-        return spec.k * (1.0 - s)
-    if isinstance(spec, OneMinus):
-        return 1.0 - s
-    raise SpecError(f"unknown distance transform {spec!r}")
-
-
-# --- dissimilarity and similarity evaluation ---------------------------------
-
-
-def _check_pair(x: TimeSeries, y: TimeSeries) -> None:
-    if x.n != y.n:
-        raise ShapeError(f"series {x.id!r} (n={x.n}) and {y.id!r} (n={y.n}) differ in length")
 
 
 def _minkowski(diff: np.ndarray, r: float) -> float:
@@ -176,10 +43,134 @@ def _minkowski(diff: np.ndarray, r: float) -> float:
     return float((a ** r).sum() ** (1.0 / r))
 
 
+@dataclass(frozen=True)
+class DissimilaritySpec:
+    """Minkowski distance of order r between standardized series."""
+
+    tag = "minkowski"
+    kind = "dissimilarity"
+    r: float
+    standardization: Standardization
+    bounds = property(lambda self: self.standardization.bounds)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.r) and self.r >= 1.0):
+            raise SpecError(f"Minkowski order must be >= 1, got {self.r!r}")
+
+    @property
+    def normal(self) -> bool:
+        """Standardized vectors are unit at order r, so D <= 2."""
+        return self.standardization.flags.normality_order == self.r
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        fx = standardize_values(self.standardization, vx)
+        fy = standardize_values(self.standardization, vy)
+        return _minkowski(fx - fy, self.r)
+
+
+# --- transforms between dissimilarity and similarity ------------------------
+
+
+class DecayTransform:
+    """Family base: similarity from dissimilarity, 1 at 0, strictly decreasing."""
+
+    tag: ClassVar[str]
+
+
+class GrowthTransform:
+    """Family base: increasing map used by the contrast form; 0 at 0, 1 at 2."""
+
+    tag: ClassVar[str]
+
+
+@dataclass(frozen=True)
+class RationalDecay(DecayTransform):
+    """S = k / (d + k): slow rational decay from 1 toward 0."""
+
+    tag = "rational-decay"
+    k: float = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.k) and self.k > 0.0):
+            raise SpecError(f"decay constant must be > 0, got {self.k!r}")
+
+    def evaluate(self, d: float) -> float:
+        return self.k / (d + self.k)
+
+
+@dataclass(frozen=True)
+class ExpDecay(DecayTransform):
+    """S = exp(-d)."""
+
+    tag = "exp-decay"
+
+    def evaluate(self, d: float) -> float:
+        return float(np.exp(-d))
+
+
+@dataclass(frozen=True)
+class PowerHalf(GrowthTransform):
+    """Increasing map W(d) = (d / 2) ** p with W(0) = 0 and W(2) = 1."""
+
+    tag = "power-half"
+    p: float = 2.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.p) and self.p > 0.0):
+            raise SpecError(f"power must be > 0, got {self.p!r}")
+
+    def evaluate(self, d: float) -> float:
+        return float((d / 2.0) ** self.p)
+
+
+@dataclass(frozen=True)
+class ComplementDecay(DecayTransform):
+    """S = 1 - W(d) for d in [0, cap]; exact 0 at the cap.
+
+    Unlike the strictly positive decays, this one reaches similarity 0, which
+    is what the difference-form association needs for reflected pairs.
+    """
+
+    tag = "complement-decay"
+    growth: GrowthTransform = PowerHalf(2.0)
+    cap: float = 2.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.cap) and self.cap > 0.0):
+            raise SpecError(f"cap must be > 0, got {self.cap!r}")
+        if grow(self.growth, self.cap) > 1.0 + 1e-12:
+            raise SpecError("growth transform must stay within [0, 1] up to the cap")
+
+    def evaluate(self, d: float) -> float:
+        if d > self.cap * (1.0 + 1e-12):
+            raise DomainError(f"dissimilarity {d!r} exceeds the transform cap {self.cap!r}")
+        return 1.0 - grow(self.growth, min(d, self.cap))
+
+
+def decay(spec: DecayTransform, d: float) -> float:
+    """Similarity from dissimilarity; strictly decreasing with value 1 at 0."""
+    if d < 0.0:
+        raise DomainError(f"dissimilarity must be >= 0, got {d!r}")
+    return spec.evaluate(d)
+
+
+def grow(spec: GrowthTransform, d: float) -> float:
+    """Increasing map used by the contrast form; 0 at 0, 1 at 2."""
+    if d < 0.0:
+        raise DomainError(f"dissimilarity must be >= 0, got {d!r}")
+    return spec.evaluate(d)
+
+
+# --- dissimilarity and similarity evaluation ---------------------------------
+
+
+def _check_pair(x: TimeSeries, y: TimeSeries) -> None:
+    if x.n != y.n:
+        raise ShapeError(f"series {x.id!r} (n={x.n}) and {y.id!r} (n={y.n}) differ in length")
+
+
 def dissimilarity_values(spec: DissimilaritySpec, vx: np.ndarray, vy: np.ndarray) -> float:
-    fx = standardize_values(spec.standardization, vx)
-    fy = standardize_values(spec.standardization, vy)
-    return _minkowski(fx - fy, spec.r)
+    return spec.evaluate(vx, vy)
 
 
 def dissimilarity(spec: DissimilaritySpec, x: TimeSeries, y: TimeSeries) -> float:
@@ -192,20 +183,40 @@ def dissimilarity(spec: DissimilaritySpec, x: TimeSeries, y: TimeSeries) -> floa
 class SimilarityRecipe:
     """Similarity S(x, y) = decay(D(x, y)). Unvalidated building block."""
 
-    dissim: DissimilaritySpec
+    tag = "similarity-recipe"
+    kind = "similarity"
+    dissimilarity: DissimilaritySpec
     decay: DecayTransform
+    bounds = property(lambda self: self.dissimilarity.bounds)
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        return decay(self.decay, dissimilarity_values(self.dissimilarity, vx, vy))
 
 
 def similarity(spec: SimilarityRecipe, x: TimeSeries, y: TimeSeries) -> float:
     _check_pair(x, y)
-    return decay(spec.decay, dissimilarity_values(spec.dissim, x.values, y.values))
+    return spec.evaluate(x.values, y.values)
 
 
 # --- association constructors -------------------------------------------------
 
 
-def _require_branch_preconditions(standardization: Standardization, what: str) -> None:
-    f = flags(standardization)
+class MeasureSpec:
+    """Family base of the association measures, A(x, y) in [-1, 1].
+
+    `verified` is True when construction-time validation already guarantees
+    soundness. Similarity-route constructors are intentionally unchecked; run
+    the axiom harness on them before trusting results.
+    """
+
+    tag: ClassVar[str]
+    kind: ClassVar[str] = "association"
+    verified = True
+    bounds = (2, None)
+
+
+def _require_branch_preconditions(dissim: DissimilaritySpec, what: str) -> None:
+    f = dissim.standardization.flags
     if not f.translation_invariant:
         raise SpecError(f"{what} needs a translation-invariant standardization")
     if not f.odd:
@@ -215,143 +226,8 @@ def _require_branch_preconditions(standardization: Standardization, what: str) -
         )
 
 
-@dataclass(frozen=True)
-class MinkowskiBranch:
-    """Signed association by orientation branch on Minkowski distances.
-
-    A(x, y) = decay(D(x, y)) when x is closer to y than to -y, the negated
-    value for the reflected orientation, and 0 on a tie.
-    """
-
-    dissim: DissimilaritySpec
-    decay: DecayTransform = RationalDecay(1.0)
-
-    def __post_init__(self):
-        _require_branch_preconditions(self.dissim.standardization, "branch association")
-
-
-@dataclass(frozen=True)
-class MinkowskiContrast:
-    """Signed association by contrast of grown distances.
-
-    A(x, y) = grow(D(x, -y)) - grow(D(x, y)). Needs an r-normal odd
-    standardization so both terms stay in [0, 1].
-    """
-
-    dissim: DissimilaritySpec
-    growth: GrowthTransform = PowerHalf(2.0)
-
-    def __post_init__(self):
-        _require_branch_preconditions(self.dissim.standardization, "contrast association")
-        f = flags(self.dissim.standardization)
-        if f.normality_order != self.dissim.r:
-            raise SpecError(
-                "contrast association needs the standardization to be normal at the "
-                f"distance order {self.dissim.r!r} (spread = Minkowski deviation of the "
-                "same center at that order)"
-            )
-
-
-@dataclass(frozen=True)
-class SimilarityBranch:
-    """Branch association driven by a similarity recipe, preconditions unchecked."""
-
-    recipe: SimilarityRecipe
-
-
-@dataclass(frozen=True)
-class SimilarityDifference:
-    """A(x, y) = S(x, y) - S(x, -y), preconditions unchecked.
-
-    Sound only when reflected pairs reach similarity exactly 0; with decays
-    that never reach 0 the result fails reflexivity.
-    """
-
-    recipe: SimilarityRecipe
-
-
-@dataclass(frozen=True)
-class SimilarityComplement:
-    """A(x, y) = 2 * S(x, y) - 1, preconditions unchecked.
-
-    Sound only when S satisfies the complement rule S(-x, y) = 1 - S(x, y).
-    """
-
-    recipe: SimilarityRecipe
-
-
-@dataclass(frozen=True)
-class Pearson:
-    """Product-moment correlation of the raw samples."""
-
-
-@dataclass(frozen=True)
-class CosineStandardized:
-    """Cosine of the standardized vectors."""
-
-    standardization: Standardization
-
-
-@dataclass(frozen=True)
-class GeneralizedMidrangeCorrelation:
-    """Correlation with the generalized midrange in place of the mean.
-
-    Centers both series by GMDR(k, m) and takes the cosine of the centered
-    vectors. With k=0, m=1 the center is the midrange.
-    """
-
-    k: int = 0
-    m: int = 2
-
-    def __post_init__(self):
-        # parameter sanity is delegated to the estimate
-        GeneralizedMidrange(self.k, self.m)
-
-
-MeasureSpec = Union[
-    MinkowskiBranch,
-    MinkowskiContrast,
-    SimilarityBranch,
-    SimilarityDifference,
-    SimilarityComplement,
-    Pearson,
-    CosineStandardized,
-    GeneralizedMidrangeCorrelation,
-]
-
-
-def is_verified(spec: MeasureSpec) -> bool:
-    """True when construction-time validation already guarantees soundness.
-
-    Similarity-route constructors are intentionally unchecked; run the axiom
-    harness on them before trusting results.
-    """
-    if isinstance(spec, (MinkowskiBranch, MinkowskiContrast, Pearson, GeneralizedMidrangeCorrelation)):
-        return True
-    if isinstance(spec, CosineStandardized):
-        return flags(spec.standardization).odd
-    return False
-
-
-def measure_standardization(spec: MeasureSpec) -> Standardization | None:
-    """The standardization a measure evaluates through, if any."""
-    if isinstance(spec, (MinkowskiBranch, MinkowskiContrast)):
-        return spec.dissim.standardization
-    if isinstance(spec, (SimilarityBranch, SimilarityDifference, SimilarityComplement)):
-        return spec.recipe.dissim.standardization
-    if isinstance(spec, CosineStandardized):
-        return spec.standardization
-    return None
-
-
-def measure_length_bounds(spec: MeasureSpec) -> tuple[int, int | None]:
-    """(minimum length, exact length or None) the measure accepts."""
-    std = measure_standardization(spec)
-    if std is not None:
-        return length_bounds(std)
-    if isinstance(spec, GeneralizedMidrangeCorrelation):
-        return 2 * spec.m + 1, None
-    return 2, None
+def _both_orientations(dissim: DissimilaritySpec, vx: np.ndarray, vy: np.ndarray) -> tuple[float, float]:
+    return dissimilarity_values(dissim, vx, vy), dissimilarity_values(dissim, vx, -vy)
 
 
 def _branch_value(d_same: float, d_reflected: float, s_spec: DecayTransform) -> float:
@@ -363,13 +239,99 @@ def _branch_value(d_same: float, d_reflected: float, s_spec: DecayTransform) -> 
     return -decay(s_spec, d_reflected)
 
 
-def _pearson_values(vx: np.ndarray, vy: np.ndarray) -> float:
-    dx = vx - vx.mean()
-    dy = vy - vy.mean()
-    denom = np.sqrt(np.dot(dx, dx) * np.dot(dy, dy))
-    if denom == 0.0:
-        raise ConstantSeriesError("correlation is undefined for a constant series")
-    return float(np.dot(dx, dy) / denom)
+@dataclass(frozen=True)
+class MinkowskiBranch(MeasureSpec):
+    """Signed association by orientation branch on Minkowski distances.
+
+    A(x, y) = decay(D(x, y)) when x is closer to y than to -y, the negated
+    value for the reflected orientation, and 0 on a tie.
+    """
+
+    tag = "minkowski-branch"
+    dissimilarity: DissimilaritySpec
+    decay: DecayTransform = RationalDecay(1.0)
+    bounds = property(lambda self: self.dissimilarity.bounds)
+
+    def __post_init__(self):
+        _require_branch_preconditions(self.dissimilarity, "branch association")
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        return _branch_value(*_both_orientations(self.dissimilarity, vx, vy), self.decay)
+
+
+@dataclass(frozen=True)
+class MinkowskiContrast(MeasureSpec):
+    """Signed association by contrast of grown distances.
+
+    A(x, y) = grow(D(x, -y)) - grow(D(x, y)). Needs an r-normal odd
+    standardization so both terms stay in [0, 1].
+    """
+
+    tag = "minkowski-contrast"
+    dissimilarity: DissimilaritySpec
+    growth: GrowthTransform = PowerHalf(2.0)
+    bounds = property(lambda self: self.dissimilarity.bounds)
+
+    def __post_init__(self):
+        _require_branch_preconditions(self.dissimilarity, "contrast association")
+        if not self.dissimilarity.normal:
+            raise SpecError(
+                "contrast association needs the standardization to be normal at the "
+                f"distance order {self.dissimilarity.r!r} (spread = Minkowski deviation of the "
+                "same center at that order)"
+            )
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        d_same, d_reflected = _both_orientations(self.dissimilarity, vx, vy)
+        return grow(self.growth, d_reflected) - grow(self.growth, d_same)
+
+
+@dataclass(frozen=True)
+class SimilarityBranch(MeasureSpec):
+    """Branch association driven by a similarity recipe, preconditions unchecked."""
+
+    tag = "similarity-branch"
+    verified = False
+    recipe: SimilarityRecipe
+    bounds = property(lambda self: self.recipe.bounds)
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        d_same, d_reflected = _both_orientations(self.recipe.dissimilarity, vx, vy)
+        return _branch_value(d_same, d_reflected, self.recipe.decay)
+
+
+@dataclass(frozen=True)
+class SimilarityDifference(MeasureSpec):
+    """A(x, y) = S(x, y) - S(x, -y), preconditions unchecked.
+
+    Sound only when reflected pairs reach similarity exactly 0; with decays
+    that never reach 0 the result fails reflexivity.
+    """
+
+    tag = "similarity-difference"
+    verified = False
+    recipe: SimilarityRecipe
+    bounds = property(lambda self: self.recipe.bounds)
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        d_same, d_reflected = _both_orientations(self.recipe.dissimilarity, vx, vy)
+        return decay(self.recipe.decay, d_same) - decay(self.recipe.decay, d_reflected)
+
+
+@dataclass(frozen=True)
+class SimilarityComplement(MeasureSpec):
+    """A(x, y) = 2 * S(x, y) - 1, preconditions unchecked.
+
+    Sound only when S satisfies the complement rule S(-x, y) = 1 - S(x, y).
+    """
+
+    tag = "similarity-complement"
+    verified = False
+    recipe: SimilarityRecipe
+    bounds = property(lambda self: self.recipe.bounds)
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        return 2.0 * self.recipe.evaluate(vx, vy) - 1.0
 
 
 def _cosine(fx: np.ndarray, fy: np.ndarray) -> float:
@@ -379,40 +341,66 @@ def _cosine(fx: np.ndarray, fy: np.ndarray) -> float:
     return float(np.dot(fx, fy) / denom)
 
 
+@dataclass(frozen=True)
+class Pearson(MeasureSpec):
+    """Product-moment correlation of the raw samples."""
+
+    tag = "pearson"
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        dx = vx - vx.mean()
+        dy = vy - vy.mean()
+        denom = np.sqrt(np.dot(dx, dx) * np.dot(dy, dy))
+        if denom == 0.0:
+            raise ConstantSeriesError("correlation is undefined for a constant series")
+        return float(np.dot(dx, dy) / denom)
+
+
+@dataclass(frozen=True)
+class CosineStandardized(MeasureSpec):
+    """Cosine of the standardized vectors; verified when the standardization is odd."""
+
+    tag = "cosine"
+    standardization: Standardization
+    bounds = property(lambda self: self.standardization.bounds)
+
+    def __post_init__(self):
+        object.__setattr__(self, "verified", self.standardization.flags.odd)
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        fx = standardize_values(self.standardization, vx)
+        fy = standardize_values(self.standardization, vy)
+        return _cosine(fx, fy)
+
+
+@dataclass(frozen=True)
+class GeneralizedMidrangeCorrelation(MeasureSpec):
+    """Correlation with the generalized midrange in place of the mean.
+
+    Centers both series by GMDR(k, m) and takes the cosine of the centered
+    vectors. With k=0, m=1 the center is the midrange.
+    """
+
+    tag = "gmidrange-correlation"
+    k: int = 0
+    m: int = 2
+
+    def __post_init__(self):
+        # parameter sanity is delegated to the estimate
+        center = GeneralizedMidrange(self.k, self.m)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "bounds", center.bounds)
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        fx = vx - central_values(self.center, vx)
+        fy = vy - central_values(self.center, vy)
+        return _cosine(fx, fy)
+
+
 def associate_values(spec: MeasureSpec, vx: np.ndarray, vy: np.ndarray) -> float:
     if np.all(vx == vx[0]) or np.all(vy == vy[0]):
         raise ConstantSeriesError("association is undefined for constant series")
-    if isinstance(spec, MinkowskiBranch):
-        d_same = dissimilarity_values(spec.dissim, vx, vy)
-        d_reflected = dissimilarity_values(spec.dissim, vx, -vy)
-        return _branch_value(d_same, d_reflected, spec.decay)
-    if isinstance(spec, MinkowskiContrast):
-        d_same = dissimilarity_values(spec.dissim, vx, vy)
-        d_reflected = dissimilarity_values(spec.dissim, vx, -vy)
-        return grow(spec.growth, d_reflected) - grow(spec.growth, d_same)
-    if isinstance(spec, SimilarityBranch):
-        d_same = dissimilarity_values(spec.recipe.dissim, vx, vy)
-        d_reflected = dissimilarity_values(spec.recipe.dissim, vx, -vy)
-        return _branch_value(d_same, d_reflected, spec.recipe.decay)
-    if isinstance(spec, SimilarityDifference):
-        d_same = dissimilarity_values(spec.recipe.dissim, vx, vy)
-        d_reflected = dissimilarity_values(spec.recipe.dissim, vx, -vy)
-        return decay(spec.recipe.decay, d_same) - decay(spec.recipe.decay, d_reflected)
-    if isinstance(spec, SimilarityComplement):
-        d_same = dissimilarity_values(spec.recipe.dissim, vx, vy)
-        return 2.0 * decay(spec.recipe.decay, d_same) - 1.0
-    if isinstance(spec, Pearson):
-        return _pearson_values(vx, vy)
-    if isinstance(spec, CosineStandardized):
-        fx = standardize_values(spec.standardization, vx)
-        fy = standardize_values(spec.standardization, vy)
-        return _cosine(fx, fy)
-    if isinstance(spec, GeneralizedMidrangeCorrelation):
-        est = GeneralizedMidrange(spec.k, spec.m)
-        fx = vx - central_values(est, vx)
-        fy = vy - central_values(est, vy)
-        return _cosine(fx, fy)
-    raise SpecError(f"unknown measure {spec!r}")
+    return spec.evaluate(vx, vy)
 
 
 def associate(spec: MeasureSpec, x: TimeSeries, y: TimeSeries) -> float:

@@ -1,4 +1,4 @@
-"""Time series containers and elementwise affine maps.
+"""Time series containers.
 
 A series is an ordered vector of float64 samples with a string id. Values are
 validated once at construction (finite, length >= 2) and frozen, so every
@@ -52,29 +52,9 @@ class TimeSeries:
         return f"TimeSeries(id={self.id!r}, n={self.n})"
 
 
-@dataclass(frozen=True)
-class ScalarAffine:
-    """Elementwise map t -> scale * t + offset applied to every sample."""
-
-    scale: float
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.scale) and np.isfinite(self.offset)):
-            raise ValueError("affine coefficients must be finite")
-
-
-REFLECT = ScalarAffine(-1.0, 0.0)
-
-
-def affine(x: TimeSeries, t: ScalarAffine) -> TimeSeries:
-    """Apply t elementwise, keeping the id."""
-    return TimeSeries(x.id, t.scale * x.values + t.offset)
-
-
 def reflect(x: TimeSeries) -> TimeSeries:
     """Pointwise negation -x. Exact in floating point."""
-    return affine(x, REFLECT)
+    return TimeSeries(x.id, -x.values)
 
 
 def constant_series(value: float, n: int, id: str = "const") -> TimeSeries:

@@ -15,7 +15,7 @@ the chosen estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,30 +28,9 @@ from .estimates import (
     MinkowskiDeviation,
     ScaleEstimate,
     central_values,
-    estimate_traits,
-    length_constraints,
-    scale_traits,
     scale_values,
 )
 from .series import TimeSeries
-
-
-@dataclass(frozen=True)
-class Center:
-    """Subtract a central estimate: F(x) = x - E(x)."""
-
-    center: CentralEstimate
-
-
-@dataclass(frozen=True)
-class CenterScale:
-    """Subtract a center, divide by a spread: F(x) = (x - E1(x)) / E2(x)."""
-
-    center: CentralEstimate
-    spread: ScaleEstimate
-
-
-Standardization = Union[Center, CenterScale]
 
 
 @dataclass(frozen=True)
@@ -70,59 +49,77 @@ class StandardizationFlags:
     normality_order: float | None
 
 
-def flags(spec: Standardization) -> StandardizationFlags:
-    if isinstance(spec, Center):
-        traits = estimate_traits(spec.center)
-        return StandardizationFlags(
-            translation_invariant=traits.translation_additive,
+class Standardization:
+    """Family base of the standardizations; `flags` is set at construction."""
+
+    tag: ClassVar[str]
+
+
+@dataclass(frozen=True)
+class Center(Standardization):
+    """Subtract a central estimate: F(x) = x - E(x)."""
+
+    tag = "center"
+    center: CentralEstimate
+    bounds = property(lambda self: self.center.bounds)
+
+    def __post_init__(self):
+        f = StandardizationFlags(
+            translation_invariant=True,
             scale_invariant=False,
-            scale_proportional=traits.scale_proportional,
-            odd=traits.odd,
+            scale_proportional=True,
+            odd=self.center.odd,
             normality_order=None,
         )
-    if isinstance(spec, CenterScale):
-        ctraits = estimate_traits(spec.center)
-        straits = scale_traits(spec.spread)
+        object.__setattr__(self, "flags", f)
+
+    def evaluate(self, v: np.ndarray) -> np.ndarray:
+        return v - central_values(self.center, v)
+
+
+@dataclass(frozen=True)
+class CenterScale(Standardization):
+    """Subtract a center, divide by a spread: F(x) = (x - E1(x)) / E2(x)."""
+
+    tag = "center-scale"
+    center: CentralEstimate
+    spread: ScaleEstimate
+
+    def __post_init__(self):
         normality = None
-        if isinstance(spec.spread, MinkowskiDeviation) and spec.spread.center == spec.center:
-            normality = spec.spread.r
-        return StandardizationFlags(
-            translation_invariant=ctraits.translation_additive and straits.translation_invariant,
-            scale_invariant=ctraits.scale_proportional and straits.scale_proportional,
+        if isinstance(self.spread, MinkowskiDeviation) and self.spread.center == self.center:
+            normality = self.spread.r
+        f = StandardizationFlags(
+            translation_invariant=True,
+            scale_invariant=True,
             scale_proportional=False,
-            odd=ctraits.odd and straits.even,
+            odd=self.center.odd and self.spread.even,
             normality_order=normality,
         )
-    raise SpecError(f"unknown standardization {spec!r}")
+        object.__setattr__(self, "flags", f)
 
+    @property
+    def bounds(self) -> tuple[int, int | None]:
+        (lo, exact), (lo2, exact2) = self.center.bounds, self.spread.bounds
+        return max(lo, lo2), exact if exact is not None else exact2
 
-def length_bounds(spec: Standardization) -> tuple[int, int | None]:
-    """(minimum length, exact length or None) the standardization's estimates accept."""
-    lo, exact = length_constraints(spec.center)
-    if isinstance(spec, CenterScale):
-        lo2, exact2 = length_constraints(spec.spread)
-        lo, exact = max(lo, lo2), exact if exact is not None else exact2
-    return lo, exact
-
-
-def min_length(spec: Standardization) -> int:
-    """Smallest series length the standardization's estimates accept."""
-    lo, exact = length_bounds(spec)
-    return exact if exact is not None else lo
-
-
-def standardize_values(spec: Standardization, v: np.ndarray) -> np.ndarray:
-    """Apply the standardization to a raw value vector."""
-    if isinstance(spec, Center):
-        return v - central_values(spec.center, v)
-    if isinstance(spec, CenterScale):
+    def evaluate(self, v: np.ndarray) -> np.ndarray:
         if np.all(v == v[0]):
             raise ConstantSeriesError(
                 "cannot scale a constant series; its spread is zero"
             )
-        centered = v - central_values(spec.center, v)
-        return centered / scale_values(spec.spread, v)
-    raise SpecError(f"unknown standardization {spec!r}")
+        centered = v - central_values(self.center, v)
+        return centered / scale_values(self.spread, v)
+
+
+def flags(spec: Standardization) -> StandardizationFlags:
+    """Algebraic behavior of a standardization, from its estimates' traits."""
+    return spec.flags
+
+
+def standardize_values(spec: Standardization, v: np.ndarray) -> np.ndarray:
+    """Apply the standardization to a raw value vector."""
+    return spec.evaluate(v)
 
 
 def standardize(spec: Standardization, x: TimeSeries) -> TimeSeries:

@@ -16,13 +16,14 @@ from shapeassoc import (
     SpecError,
     applicable_properties,
     coverage_suite,
-    implication_checks,
     preset,
     replay,
     subject_kind,
     verify,
 )
 from shapeassoc.axioms import SAM_PROPERTIES, describe_subject
+
+from implications import implication_checks
 
 UNIT_MEAN = preset("unit-mean")
 D2_UNIT = DissimilaritySpec(2.0, UNIT_MEAN)

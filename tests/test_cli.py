@@ -218,6 +218,60 @@ class TestBench:
         assert run("bench", "--synthetic", "--config", "x.json") == 1
 
 
+class TestMalformedConfig:
+    """Malformed JSON exits 1 with a one-line message naming the bad entry."""
+
+    def _run_config(self, tmp_path, capsys, argv, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = run(*argv, str(cfg))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("shapeassoc: error:") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"dataset": {"kind": "file"}}, "'path'"),
+            ({"dataset": {"kind": "synthetic"}, "measures": [{"measure": "pearson"}]}, "'name'"),
+            ({"dataset": {"kind": "synthetic", "clusters": [{"size": None}]}}, "'size'"),
+            ({"dataset": {"kind": "synthetic", "clusters": [{"inverted": [True]}]}}, "'size'"),
+            ({"dataset": {"kind": "synthetic"}, "true_clusters": 5}, "'true_clusters'"),
+        ],
+    )
+    def test_bench_config(self, tmp_path, capsys, payload, key):
+        assert key in self._run_config(tmp_path, capsys, ("bench", "--config"), payload)
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"kind": "gmidrange-correlation", "k": None}, "'k'"),
+            (
+                {
+                    "kind": "cosine",
+                    "standardization": {
+                        "kind": "center",
+                        "center": {"kind": "weighted-mean", "weights": 5},
+                    },
+                },
+                "'weights'",
+            ),
+        ],
+    )
+    def test_measure_file(self, dataset, tmp_path, capsys, payload, key):
+        argv = ("assoc", "--input", dataset, "--delimiter", "comma", "--ids",
+                "--x", "a", "--y", "b", "--measure")
+        assert key in self._run_config(tmp_path, capsys, argv, payload)
+
+    def test_non_finite_dataset_cell(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("a,1,2,3\nb,4,nan,6\n")
+        code = run("matrix", "--input", str(p), "--delimiter", "comma", "--ids", "--measure", "pearson")
+        assert code == 1
+        assert "line 2, field 3: non-finite" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert run() == 1

@@ -12,14 +12,12 @@ from shapeassoc import (
     ExpDecay,
     GeneralizedMidrange,
     GeneralizedMidrangeCorrelation,
-    LinearComplement,
     Median,
     Midrange,
     Min,
     MinkowskiBranch,
     MinkowskiContrast,
     MinkowskiDeviation,
-    OneMinus,
     OrderStatistic,
     OrderedWeightedMean,
     Pearson,
@@ -35,25 +33,11 @@ from shapeassoc import (
     WeightedMean,
     preset,
 )
-from shapeassoc.config import (
-    central_from_dict,
-    central_to_dict,
-    decay_from_dict,
-    decay_to_dict,
-    dissimilarity_from_dict,
-    dissimilarity_to_dict,
-    distance_transform_from_dict,
-    distance_transform_to_dict,
-    measure_from_dict,
-    measure_to_dict,
-    recipe_from_dict,
-    recipe_to_dict,
-    scale_from_dict,
-    scale_to_dict,
-    standardization_from_dict,
-    standardization_to_dict,
-    subject_to_dict,
-)
+from shapeassoc.axioms import describe_subject
+from shapeassoc.config import from_dict, to_dict
+from shapeassoc.estimates import CentralEstimate, ScaleEstimate
+from shapeassoc.measures import DecayTransform, MeasureSpec
+from shapeassoc.standardize import Standardization
 
 CENTRALS = (
     Min(),
@@ -88,13 +72,13 @@ MEASURES = (
 class TestRoundTrips:
     def test_central_estimates(self):
         for spec in CENTRALS:
-            d = central_to_dict(spec)
+            d = to_dict(spec)
             json.dumps(d)
-            assert central_from_dict(d) == spec
+            assert from_dict(d, CentralEstimate) == spec
 
     def test_scale_estimates(self):
         for spec in (Range(), MinkowskiDeviation(2.0, ArithmeticMean()), MinkowskiDeviation(1.5, Median())):
-            assert scale_from_dict(scale_to_dict(spec)) == spec
+            assert from_dict(to_dict(spec), ScaleEstimate) == spec
 
     def test_standardizations(self):
         for spec in (
@@ -103,52 +87,51 @@ class TestRoundTrips:
             preset("unit-mean"),
             preset("unit-gmidrange", r=3.0, k=1, m=3),
         ):
-            assert standardization_from_dict(standardization_to_dict(spec)) == spec
+            assert from_dict(to_dict(spec), Standardization) == spec
 
     def test_decays_and_transforms(self):
         for spec in (RationalDecay(2.5), ExpDecay(), ComplementDecay(PowerHalf(1.5), 2.0)):
-            assert decay_from_dict(decay_to_dict(spec)) == spec
-        for spec in (LinearComplement(3.0), OneMinus()):
-            assert distance_transform_from_dict(distance_transform_to_dict(spec)) == spec
+            assert from_dict(to_dict(spec), DecayTransform) == spec
 
     def test_dissimilarity_and_recipe(self):
         dis = DissimilaritySpec(3.0, preset("unit-mean", r=3.0))
-        assert dissimilarity_from_dict(dissimilarity_to_dict(dis)) == dis
+        assert from_dict(to_dict(dis), DissimilaritySpec) == dis
         recipe = SimilarityRecipe(dis, RationalDecay(0.5))
-        assert recipe_from_dict(recipe_to_dict(recipe)) == recipe
+        assert from_dict(to_dict(recipe), SimilarityRecipe) == recipe
 
     def test_measures(self):
         for spec in MEASURES:
-            d = measure_to_dict(spec)
+            d = to_dict(spec)
             json.dumps(d)
-            assert measure_from_dict(d) == spec
+            assert from_dict(d, MeasureSpec) == spec
 
     def test_round_trip_survives_json(self):
         for spec in MEASURES:
-            again = measure_from_dict(json.loads(json.dumps(measure_to_dict(spec))))
+            again = from_dict(json.loads(json.dumps(to_dict(spec))), MeasureSpec)
             assert again == spec
 
 
 class TestShorthands:
     def test_preset_names(self):
-        assert standardization_from_dict("unit-mean") == preset("unit-mean")
-        assert standardization_from_dict(
-            {"kind": "preset", "name": "unit-gmidrange", "m": 3}
+        assert from_dict("unit-mean", Standardization) == preset("unit-mean")
+        assert from_dict(
+            {"kind": "preset", "name": "unit-gmidrange", "m": 3}, Standardization
         ) == preset("unit-gmidrange", m=3)
 
     def test_measure_shorthands(self):
-        assert measure_from_dict("pearson") == Pearson()
-        assert measure_from_dict("cosine") == CosineStandardized(preset("unit-mean"))
-        assert measure_from_dict("gmidrange-correlation") == GeneralizedMidrangeCorrelation(0, 2)
+        assert from_dict("pearson", MeasureSpec) == Pearson()
+        assert from_dict("cosine", MeasureSpec) == CosineStandardized(preset("unit-mean"))
+        assert from_dict("gmidrange-correlation", MeasureSpec) == GeneralizedMidrangeCorrelation(0, 2)
         with pytest.raises(SpecError):
-            measure_from_dict("spearman")
+            from_dict("spearman", MeasureSpec)
 
     def test_default_parameters(self):
-        spec = measure_from_dict(
+        spec = from_dict(
             {
                 "kind": "minkowski-branch",
                 "dissimilarity": {"r": 2.0, "standardization": "unit-mean"},
-            }
+            },
+            MeasureSpec,
         )
         assert spec.decay == RationalDecay(1.0)
 
@@ -156,47 +139,62 @@ class TestShorthands:
 class TestStrictness:
     def test_unknown_keys_rejected(self):
         with pytest.raises(SpecError, match="unknown keys"):
-            central_from_dict({"kind": "median", "extra": 1})
+            from_dict({"kind": "median", "extra": 1}, CentralEstimate)
         with pytest.raises(SpecError, match="unknown keys"):
-            measure_from_dict({"kind": "pearson", "bogus": True})
+            from_dict({"kind": "pearson", "bogus": True}, MeasureSpec)
         with pytest.raises(SpecError, match="unknown keys"):
-            standardization_from_dict({"kind": "center", "center": {"kind": "median"}, "x": 0})
+            from_dict({"kind": "center", "center": {"kind": "median"}, "x": 0}, Standardization)
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(SpecError):
-            central_from_dict({"kind": "mode"})
+            from_dict({"kind": "mode"}, CentralEstimate)
         with pytest.raises(SpecError):
-            measure_from_dict({"kind": "spearman"})
+            from_dict({"kind": "spearman"}, MeasureSpec)
         with pytest.raises(SpecError):
-            decay_from_dict({"kind": "gaussian"})
+            from_dict({"kind": "gaussian"}, DecayTransform)
 
     def test_missing_keys_rejected(self):
         with pytest.raises(SpecError, match="missing required key"):
-            measure_from_dict({"kind": "cosine"})
+            from_dict({"kind": "cosine"}, MeasureSpec)
         with pytest.raises(SpecError, match="missing required key"):
-            dissimilarity_from_dict({"standardization": "unit-mean"})
+            from_dict({"standardization": "unit-mean"}, DissimilaritySpec)
 
     def test_wrong_container_types(self):
         with pytest.raises(SpecError):
-            central_from_dict(["median"])
+            from_dict(["median"], CentralEstimate)
         with pytest.raises(SpecError):
-            measure_from_dict(42)
+            from_dict(42, MeasureSpec)
+
+    def test_malformed_values_name_the_key(self):
+        with pytest.raises(SpecError, match="'k'"):
+            from_dict({"kind": "gmidrange-correlation", "k": None}, MeasureSpec)
+        with pytest.raises(SpecError, match="'weights'"):
+            from_dict({"kind": "weighted-mean", "weights": 5}, CentralEstimate)
+        with pytest.raises(SpecError, match="'r'"):
+            from_dict({"r": "two", "standardization": "unit-mean"}, DissimilaritySpec)
+
+    def test_key_omitted_only_when_field_has_a_default(self):
+        assert from_dict({"kind": "rational-decay"}, DecayTransform) == RationalDecay(1.0)
+        for kind in ("projection", "order-statistic", "truncated-mean", "generalized-midrange"):
+            with pytest.raises(SpecError, match="missing required key"):
+                from_dict({"kind": kind}, CentralEstimate)
 
     def test_invalid_parameters_propagate(self):
         # construction rules still apply on the parse path
         with pytest.raises(SpecError):
-            measure_from_dict(
+            from_dict(
                 {
                     "kind": "minkowski-contrast",
                     "dissimilarity": {"r": 2.0, "standardization": "center-mean"},
-                }
+                },
+                MeasureSpec,
             )
 
 
 class TestSubjectDescription:
     def test_subjects(self):
-        assert subject_to_dict(Pearson())["subject"] == "association"
+        assert describe_subject(Pearson())["subject"] == "association"
         dis = DissimilaritySpec(2.0, preset("unit-mean"))
-        assert subject_to_dict(dis)["subject"] == "dissimilarity"
+        assert describe_subject(dis)["subject"] == "dissimilarity"
         recipe = SimilarityRecipe(dis, RationalDecay(1.0))
-        assert subject_to_dict(recipe)["subject"] == "similarity"
+        assert describe_subject(recipe)["subject"] == "similarity"

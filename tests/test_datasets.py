@@ -66,6 +66,14 @@ class TestParsing:
         with pytest.raises(DatasetError, match="line 2, field 2"):
             parse_dataset_text("1 2 3 4\n5 abc 7 8\n")
 
+    def test_non_finite_cell_reports_position(self):
+        for token in ("nan", "inf", "-inf"):
+            with pytest.raises(DatasetError, match="line 2, field 3: non-finite"):
+                parse_dataset_text(f"1 2 3 4\n5 6 {token} 8\n")
+        # the id field counts: nan is the third field of its line
+        with pytest.raises(DatasetError, match="line 1, field 3"):
+            parse_dataset_text("a,1,nan\nb,2,3\n", "comma", "rows", has_ids=True)
+
     def test_empty_input(self):
         with pytest.raises(DatasetError):
             parse_dataset_text("  \n\n")

@@ -21,11 +21,9 @@ from shapeassoc import (
     TruncatedMean,
     WeightedMean,
     central,
-    estimate_traits,
     scale,
-    scale_traits,
 )
-from shapeassoc.estimates import central_values, length_constraints, scale_values
+from shapeassoc.estimates import central_values, scale_values
 
 from helpers import random_values, ts
 
@@ -121,14 +119,14 @@ class TestParameterValidation:
 
 class TestLengthRules:
     def test_constraints(self):
-        assert length_constraints(ArithmeticMean()) == (2, None)
-        assert length_constraints(Projection(7)) == (7, None)
-        assert length_constraints(OrderStatistic(1)) == (2, None)
-        assert length_constraints(TruncatedMean(2)) == (5, None)
-        assert length_constraints(GeneralizedMidrange(0, 2)) == (5, None)
-        assert length_constraints(WeightedMean((0.25, 0.25, 0.5))) == (3, 3)
-        assert length_constraints(MinkowskiDeviation(2.0, TruncatedMean(3))) == (7, None)
-        assert length_constraints(Range()) == (2, None)
+        assert ArithmeticMean().bounds == (2, None)
+        assert Projection(7).bounds == (7, None)
+        assert OrderStatistic(1).bounds == (2, None)
+        assert TruncatedMean(2).bounds == (5, None)
+        assert GeneralizedMidrange(0, 2).bounds == (5, None)
+        assert WeightedMean((0.25, 0.25, 0.5)).bounds == (3, 3)
+        assert MinkowskiDeviation(2.0, TruncatedMean(3)).bounds == (7, None)
+        assert Range().bounds == (2, None)
 
     def test_too_short_series_rejected(self):
         with pytest.raises(SpecError):
@@ -147,22 +145,18 @@ class TestLengthRules:
 
 class TestTraits:
     def test_catalog_traits(self):
-        assert estimate_traits(Min()) == estimate_traits(Max())
-        assert not estimate_traits(Min()).odd
-        assert estimate_traits(Median()).odd
-        assert estimate_traits(Median()).translation_additive
-        assert estimate_traits(Median()).scale_proportional
-        assert not estimate_traits(OrderStatistic(2)).odd
-        assert not estimate_traits(OrderedWeightedMean((0.5, 0.5))).odd
-        assert estimate_traits(WeightedMean((0.5, 0.5))).odd
+        assert not Min().odd and not Max().odd
+        assert Median().odd
+        assert not OrderStatistic(2).odd
+        assert not OrderedWeightedMean((0.5, 0.5)).odd
+        assert WeightedMean((0.5, 0.5)).odd
         for spec in (Midrange(), Projection(2), TruncatedMean(1), GeneralizedMidrange(0, 2), ArithmeticMean()):
-            assert estimate_traits(spec).odd
+            assert spec.odd
 
     def test_scale_traits(self):
-        t = scale_traits(Range())
-        assert t.translation_invariant and t.scale_proportional and t.even
-        assert scale_traits(MinkowskiDeviation(2.0, ArithmeticMean())).even
-        assert not scale_traits(MinkowskiDeviation(2.0, Min())).even
+        assert Range().even
+        assert MinkowskiDeviation(2.0, ArithmeticMean()).even
+        assert not MinkowskiDeviation(2.0, Min()).even
 
 
 _CENTRALS = (
@@ -222,7 +216,7 @@ class TestInvariants:
             v = random_values(rng, n)
             wam, _ = _weighted_pair(n)
             for spec in _CENTRALS + (wam,):
-                if not estimate_traits(spec).odd:
+                if not spec.odd:
                     continue
                 assert abs(central_values(spec, -v) + central_values(spec, v)) <= 1e-12
 

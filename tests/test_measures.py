@@ -14,12 +14,10 @@ from shapeassoc import (
     DomainError,
     ExpDecay,
     GeneralizedMidrangeCorrelation,
-    LinearComplement,
     Min,
     MinkowskiBranch,
     MinkowskiContrast,
     MinkowskiDeviation,
-    OneMinus,
     Pearson,
     PowerHalf,
     Range,
@@ -37,20 +35,16 @@ from shapeassoc import (
     decay,
     dissimilarity,
     grow,
-    is_verified,
     load_set,
     preset,
     reflect,
     similarity,
     standardize,
-    to_distance,
 )
 from shapeassoc.measures import (
     associate_values,
     constant_ids,
     dissimilarity_values,
-    measure_length_bounds,
-    measure_standardization,
 )
 
 from helpers import random_values, ts
@@ -93,22 +87,11 @@ class TestTransforms:
         with pytest.raises(DomainError):
             grow(PowerHalf(2.0), -1.0)
 
-    def test_to_distance(self):
-        assert to_distance(LinearComplement(2.0), 1.0) == 0.0
-        assert to_distance(LinearComplement(2.0), 0.0) == 2.0
-        assert to_distance(OneMinus(), 0.25) == 0.75
-        with pytest.raises(DomainError):
-            to_distance(OneMinus(), 1.5)
-        with pytest.raises(DomainError):
-            to_distance(LinearComplement(1.0), -0.1)
-
     def test_parameter_validation(self):
         with pytest.raises(SpecError):
             RationalDecay(0.0)
         with pytest.raises(SpecError):
             PowerHalf(-1.0)
-        with pytest.raises(SpecError):
-            LinearComplement(0.0)
         with pytest.raises(SpecError):
             ComplementDecay(PowerHalf(2.0), 0.0)
         with pytest.raises(SpecError):
@@ -221,21 +204,19 @@ class TestConstructorValidation:
             GeneralizedMidrangeCorrelation(2, 2)
 
     def test_is_verified(self):
-        assert is_verified(Pearson())
-        assert is_verified(MinkowskiBranch(D2_UNIT))
-        assert is_verified(MinkowskiContrast(D2_UNIT))
-        assert is_verified(GeneralizedMidrangeCorrelation(0, 2))
-        assert is_verified(CosineStandardized(UNIT_MEAN))
-        assert not is_verified(CosineStandardized(preset("center-min")))
-        assert not is_verified(SimilarityBranch(SimilarityRecipe(D2_UNIT, RationalDecay(1.0))))
+        assert Pearson().verified
+        assert MinkowskiBranch(D2_UNIT).verified
+        assert MinkowskiContrast(D2_UNIT).verified
+        assert GeneralizedMidrangeCorrelation(0, 2).verified
+        assert CosineStandardized(UNIT_MEAN).verified
+        assert not CosineStandardized(preset("center-min")).verified
+        assert not SimilarityBranch(SimilarityRecipe(D2_UNIT, RationalDecay(1.0))).verified
 
     def test_length_bounds(self):
-        assert measure_length_bounds(Pearson()) == (2, None)
-        assert measure_length_bounds(GeneralizedMidrangeCorrelation(0, 2)) == (5, None)
+        assert Pearson().bounds == (2, None)
+        assert GeneralizedMidrangeCorrelation(0, 2).bounds == (5, None)
         branch = MinkowskiBranch(DissimilaritySpec(2.0, preset("unit-gmidrange")))
-        assert measure_length_bounds(branch) == (5, None)
-        assert measure_standardization(Pearson()) is None
-        assert measure_standardization(branch) == preset("unit-gmidrange")
+        assert branch.bounds == (5, None)
 
 
 class TestAssociate:

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from shapeassoc import (
-    REFLECT,
     LengthError,
-    ScalarAffine,
     SeriesSet,
     ShapeError,
     SpecError,
     TimeSeries,
-    affine,
     constant_series,
     is_constant,
     load_set,
@@ -49,33 +46,8 @@ class TestTimeSeries:
 
 
 class TestAffine:
-    def test_pure_translation(self):
-        assert np.array_equal(affine(ts([1, 2, 3]), ScalarAffine(1, 5)).values, [6, 7, 8])
-
     def test_reflection(self):
-        assert np.array_equal(affine(ts([1, 2, 3]), ScalarAffine(-1, 0)).values, [-1, -2, -3])
         assert np.array_equal(reflect(ts([1, 2, 3])).values, [-1, -2, -3])
-        assert REFLECT == ScalarAffine(-1.0, 0.0)
-
-    def test_scale_and_offset(self):
-        assert np.array_equal(affine(ts([1, 2, 3]), ScalarAffine(2, 1)).values, [3, 5, 7])
-
-    def test_rejects_non_finite_parameters(self):
-        with pytest.raises(ValueError):
-            ScalarAffine(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            ScalarAffine(1.0, float("inf"))
-
-    def test_composition(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = random_series(rng, int(rng.integers(2, 20)))
-            p1, p2 = rng.uniform(-3, 3, size=2)
-            q1, q2 = rng.uniform(-5, 5, size=2)
-            once = affine(affine(x, ScalarAffine(p1, q1)), ScalarAffine(p2, q2))
-            composed = affine(x, ScalarAffine(p1 * p2, p2 * q1 + q2))
-            scale = np.maximum(1.0, np.abs(composed.values))
-            assert np.all(np.abs(once.values - composed.values) / scale <= 1e-12)
 
     def test_reflection_involution_exact(self):
         rng = np.random.default_rng(12)
@@ -103,7 +75,7 @@ class TestConstant:
 
     def test_translated_constant_stays_constant(self):
         q = constant_series(4.0, 5)
-        assert is_constant(affine(q, ScalarAffine(1.0, 3.7)))
+        assert is_constant(TimeSeries(q.id, q.values + 3.7))
 
 
 class TestSeriesSet:

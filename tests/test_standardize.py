@@ -20,7 +20,7 @@ from shapeassoc import (
     preset,
     standardize,
 )
-from shapeassoc.standardize import length_bounds, min_length, standardize_values
+from shapeassoc.standardize import standardize_values
 
 from helpers import random_values, ts
 
@@ -109,10 +109,10 @@ class TestFlags:
 
 class TestLengthBounds:
     def test_bounds(self):
-        assert length_bounds(preset("unit-mean")) == (2, None)
-        assert length_bounds(preset("unit-gmidrange")) == (5, None)
-        assert min_length(preset("unit-gmidrange", m=3)) == 7
-        assert length_bounds(Center(Min())) == (2, None)
+        assert preset("unit-mean").bounds == (2, None)
+        assert preset("unit-gmidrange").bounds == (5, None)
+        assert preset("unit-gmidrange", m=3).bounds == (7, None)
+        assert Center(Min()).bounds == (2, None)
 
 
 _SPECS = (
