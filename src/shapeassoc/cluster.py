@@ -4,6 +4,11 @@ Merging is on maximum similarity: the similarity between two clusters is the
 largest similarity across any member pair, and each step joins the pair of
 clusters with the highest such value. Merge levels are therefore exact input
 entries, never arithmetic combinations, and they decrease monotonically.
+Ties go to the pair with the smallest (row, column) position.
+
+`single_linkage` runs in O(k^2) time: the merge levels are the edge weights
+of the maximum spanning tree (Gower & Ross 1969), built by Prim's algorithm
+with one numpy row update per object and replayed in merge order.
 """
 
 from __future__ import annotations
@@ -132,38 +137,57 @@ def single_linkage(matrix: SimilarityMatrix) -> Dendrogram:
     Tie-breaking: among cross-cluster pairs achieving the maximum similarity
     exactly, the pair with the smallest (row, column) position in input order
     wins, so results are deterministic for any input.
+
+    Method: edges are ordered strictly by level, highest first, then by the
+    pair (min(i, j), max(i, j)), smallest first. Under that order the maximum
+    spanning tree is unique, and merging its k-1 edges in order is exactly
+    the greedy rule above. Prim's algorithm builds the tree in O(k^2) time
+    with one numpy row update per added object; replaying the sorted tree
+    edges over per-object cluster labels then yields the merges.
     """
     ids = matrix.ids
     k = len(ids)
     if k < 2:
         raise SpecError(f"clustering needs at least 2 objects, got {k}")
     sim = matrix.values
-    assignment = list(range(k))  # series index -> cluster id
+    # Prim: for each object outside the tree, its best edge into the tree as
+    # (level, key) with key = min(i, j) * k + max(i, j), so that comparing
+    # keys compares pairs in (row, column) order.
+    rest = np.arange(1, k)
+    level = sim[0, 1:].copy()
+    key = rest.copy()
+    edges = []  # (-level, key) of each tree edge
+    while rest.size:
+        top = level.max()
+        ties = np.flatnonzero(level == top)
+        p = ties[np.argmin(key[ties])]
+        u = rest[p]
+        edges.append((-float(top), int(key[p])))
+        rest, level, key = np.delete(rest, p), np.delete(level, p), np.delete(key, p)
+        new_level = sim[u, rest]
+        new_key = np.minimum(rest, u) * k + np.maximum(rest, u)
+        better = (new_level > level) | ((new_level == level) & (new_key < key))
+        level = np.where(better, new_level, level)
+        key = np.where(better, new_key, key)
+    # Replay the tree edges in merge order.
+    cluster = list(range(k))  # series index -> cluster id
     members: dict[int, list[int]] = {c: [c] for c in range(k)}
     merges = []
-    for _ in range(k - 1):
-        best = -1.0
-        best_pair: tuple[int, int] | None = None
-        for i in range(k):
-            for j in range(i + 1, k):
-                if assignment[i] != assignment[j] and sim[i, j] > best:
-                    best = sim[i, j]
-                    best_pair = (i, j)
-        i, j = best_pair
-        ci, cj = assignment[i], assignment[j]
+    for neg_level, pair in sorted(edges):
+        i, j = divmod(pair, k)
+        ci, cj = cluster[i], cluster[j]
         left = members.pop(ci)
         right = members.pop(cj)
         merges.append(
             MergeStep(
-                tuple(ids[p] for p in left),
-                tuple(ids[p] for p in right),
-                float(best),
+                tuple(ids[q] for q in left),
+                tuple(ids[q] for q in right),
+                -neg_level,
             )
         )
-        merged = sorted(left + right)
-        members[ci] = merged
-        for p in merged:
-            assignment[p] = ci
+        members[ci] = sorted(left + right)
+        for q in right:
+            cluster[q] = ci
     return Dendrogram(leaves=ids, merges=tuple(merges))
 
 

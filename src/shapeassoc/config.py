@@ -4,7 +4,10 @@
 fields, under their own names. `from_dict(d, family)` reverses it: the
 "kind" picks the class among the family's subclasses (optional when the
 family is a single tagged class), each value is coerced to its field's type
-hint, and a key may be omitted exactly when its field has a default.
+hint, and a key may be omitted exactly when its field has a default. A bool
+field takes only a JSON boolean, and an int field an integer or a string
+spelling one but never a boolean or a float, so "false" or 2.7 is an error
+rather than True or 2.
 Unknown keys are rejected rather than ignored so a typoed parameter cannot
 silently fall back to a default. A string names a standardization preset or
 a measure shorthand. These dict forms are what the CLI reads from JSON files.
@@ -115,6 +118,10 @@ def _convert(value, hint):
         return tuple(_convert(v, args[0]) for v in value)
     if origin in (typing.Union, types.UnionType):  # X | None
         return None if value is None else _convert(value, args[0])
+    if hint is bool and not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    if hint is int and isinstance(value, (bool, float)):
+        raise TypeError("expected an integer")
     if hint in (int, float, str, bool):
         return hint(value)
     return from_dict(value, hint)

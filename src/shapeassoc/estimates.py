@@ -13,12 +13,13 @@ algebraic traits that standardizations and measures rely on. `central` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import DomainError, SpecError
 from .series import TimeSeries
 
 
@@ -286,8 +287,15 @@ def central(spec: CentralEstimate, x: TimeSeries) -> float:
 
 
 def scale_values(spec: ScaleEstimate, v: np.ndarray) -> float:
-    """Evaluate a scale estimate on a raw value vector."""
-    return spec.evaluate(v)
+    """Evaluate a scale estimate on a raw value vector.
+
+    Raises DomainError when the scale overflows to inf (or is NaN) rather
+    than let a standardization divide by it and return zeros.
+    """
+    s = spec.evaluate(v)
+    if not math.isfinite(s):
+        raise DomainError(f"{spec.tag} scale is not finite ({s}); the values overflow float64")
+    return s
 
 
 def scale(spec: ScaleEstimate, x: TimeSeries) -> float:

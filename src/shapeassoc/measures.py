@@ -21,6 +21,7 @@ accept any recipe unchecked; the axiom harness exists to catch bad ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -170,7 +171,10 @@ def _check_pair(x: TimeSeries, y: TimeSeries) -> None:
 
 
 def dissimilarity_values(spec: DissimilaritySpec, vx: np.ndarray, vy: np.ndarray) -> float:
-    return spec.evaluate(vx, vy)
+    d = spec.evaluate(vx, vy)
+    if not math.isfinite(d):
+        raise DomainError(f"dissimilarity is not finite ({d}); the values overflow float64")
+    return d
 
 
 def dissimilarity(spec: DissimilaritySpec, x: TimeSeries, y: TimeSeries) -> float:
@@ -334,10 +338,17 @@ class SimilarityComplement(MeasureSpec):
         return 2.0 * self.recipe.evaluate(vx, vy) - 1.0
 
 
+def _check_denominator(denom: float) -> None:
+    # an overflowing norm product would turn the ratio into a silent 0.0
+    if not math.isfinite(denom):
+        raise DomainError(f"norm product is not finite ({denom}); the values overflow float64")
+
+
 def _cosine(fx: np.ndarray, fy: np.ndarray) -> float:
     denom = np.sqrt(np.dot(fx, fx) * np.dot(fy, fy))
     if denom == 0.0:
         raise ConstantSeriesError("cosine is undefined when a standardized series is zero")
+    _check_denominator(denom)
     return float(np.dot(fx, fy) / denom)
 
 
@@ -353,6 +364,7 @@ class Pearson(MeasureSpec):
         denom = np.sqrt(np.dot(dx, dx) * np.dot(dy, dy))
         if denom == 0.0:
             raise ConstantSeriesError("correlation is undefined for a constant series")
+        _check_denominator(denom)
         return float(np.dot(dx, dy) / denom)
 
 
@@ -400,7 +412,10 @@ class GeneralizedMidrangeCorrelation(MeasureSpec):
 def associate_values(spec: MeasureSpec, vx: np.ndarray, vy: np.ndarray) -> float:
     if np.all(vx == vx[0]) or np.all(vy == vy[0]):
         raise ConstantSeriesError("association is undefined for constant series")
-    return spec.evaluate(vx, vy)
+    a = spec.evaluate(vx, vy)
+    if not math.isfinite(a):
+        raise DomainError(f"association is not finite ({a}); the values overflow float64")
+    return a
 
 
 def associate(spec: MeasureSpec, x: TimeSeries, y: TimeSeries) -> float:
@@ -431,7 +446,7 @@ def association_matrix(spec: MeasureSpec, data: SeriesSet) -> AssociationMatrix:
         for j in range(i + 1, k):
             try:
                 a = associate(spec, data[i], data[j])
-            except (ConstantSeriesError, SpecError, ShapeError) as exc:
+            except (ConstantSeriesError, DomainError, SpecError, ShapeError) as exc:
                 raise type(exc)(
                     f"pair ({data[i].id!r}, {data[j].id!r}): {exc}"
                 ) from exc

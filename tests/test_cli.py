@@ -238,6 +238,8 @@ class TestMalformedConfig:
             ({"dataset": {"kind": "synthetic", "clusters": [{"size": None}]}}, "'size'"),
             ({"dataset": {"kind": "synthetic", "clusters": [{"inverted": [True]}]}}, "'size'"),
             ({"dataset": {"kind": "synthetic"}, "true_clusters": 5}, "'true_clusters'"),
+            ({"dataset": {"kind": "file", "path": "x.txt", "has_ids": "false"}}, "'has_ids'"),
+            ({"dataset": {"kind": "synthetic", "clusters": [{"size": 2.7}]}}, "'size'"),
         ],
     )
     def test_bench_config(self, tmp_path, capsys, payload, key):
@@ -257,6 +259,7 @@ class TestMalformedConfig:
                 },
                 "'weights'",
             ),
+            ({"kind": "gmidrange-correlation", "k": 2.7}, "'k'"),
         ],
     )
     def test_measure_file(self, dataset, tmp_path, capsys, payload, key):
@@ -270,6 +273,15 @@ class TestMalformedConfig:
         code = run("matrix", "--input", str(p), "--delimiter", "comma", "--ids", "--measure", "pearson")
         assert code == 1
         assert "line 2, field 3: non-finite" in capsys.readouterr().err
+
+    def test_overflowing_values(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text("a,1e200,-1e200,3e200,2e200\nb,2e200,3e200,-1e200,1e200\n")
+        with np.errstate(over="ignore"):
+            code = run("matrix", "--input", str(p), "--delimiter", "comma", "--ids", "--measure", "pearson")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("shapeassoc: error:") and "('a', 'b')" in err and "not finite" in err
 
 
 class TestUsageErrors:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import networkx as nx
 import numpy as np
@@ -15,6 +16,42 @@ from shapeassoc import (
 )
 
 
+def _reference_single_linkage(matrix: SimilarityMatrix) -> Dendrogram:
+    """The original O(k^3) scan: the merge-for-merge oracle for single_linkage."""
+    ids = matrix.ids
+    k = len(ids)
+    if k < 2:
+        raise SpecError(f"clustering needs at least 2 objects, got {k}")
+    sim = matrix.values
+    assignment = list(range(k))  # series index -> cluster id
+    members: dict[int, list[int]] = {c: [c] for c in range(k)}
+    merges = []
+    for _ in range(k - 1):
+        best = -1.0
+        best_pair: tuple[int, int] | None = None
+        for i in range(k):
+            for j in range(i + 1, k):
+                if assignment[i] != assignment[j] and sim[i, j] > best:
+                    best = sim[i, j]
+                    best_pair = (i, j)
+        i, j = best_pair
+        ci, cj = assignment[i], assignment[j]
+        left = members.pop(ci)
+        right = members.pop(cj)
+        merges.append(
+            MergeStep(
+                tuple(ids[p] for p in left),
+                tuple(ids[p] for p in right),
+                float(best),
+            )
+        )
+        merged = sorted(left + right)
+        members[ci] = merged
+        for p in merged:
+            assignment[p] = ci
+    return Dendrogram(leaves=ids, merges=tuple(merges))
+
+
 def sym(ids, entries):
     """Build a SimilarityMatrix from {(i, j): s} over index pairs."""
     k = len(ids)
@@ -26,6 +63,14 @@ def sym(ids, entries):
 
 
 THREE = sym("123", {(0, 1): 0.9, (0, 2): 0.2, (1, 2): 0.3})
+
+
+def from_upper(v):
+    """SimilarityMatrix from the strict upper triangle of square v, unit diagonal."""
+    v = np.triu(v, 1)
+    v = v + v.T
+    np.fill_diagonal(v, 1.0)
+    return SimilarityMatrix(tuple(f"o{i}" for i in range(len(v))), v)
 
 
 def random_matrix(rng, k):
@@ -123,6 +168,32 @@ class TestSingleLinkage:
                 v = f(m.values.copy())
                 np.fill_diagonal(v, 1.0)
                 assert set(single_linkage(SimilarityMatrix(m.ids, v)).nodes()) == base
+
+    @pytest.mark.parametrize("step", [None, 1 / 2, 1 / 3, 1 / 5])
+    def test_matches_reference_merge_for_merge(self, step):
+        rng = np.random.default_rng(65)
+        for _ in range(150):
+            k = int(rng.integers(2, 41))
+            v = rng.uniform(0.0, 1.0, (k, k))
+            if step is not None:  # tie-heavy: entries on a coarse grid
+                v = np.round(v / step) * step
+            m = from_upper(v)
+            assert single_linkage(m).merges == _reference_single_linkage(m).merges
+
+    def test_all_equal_matches_reference(self):
+        for k in (2, 3, 7, 25):
+            m = from_upper(np.full((k, k), 0.25))
+            assert single_linkage(m).merges == _reference_single_linkage(m).merges
+
+    def test_large_matrix_is_fast(self):
+        rng = np.random.default_rng(66)
+        m = from_upper(rng.uniform(0.0, 1.0, (1000, 1000)))
+        start = time.perf_counter()
+        tree = single_linkage(m)
+        assert time.perf_counter() - start < 1.0
+        lv = tree.levels()
+        assert len(lv) == 999
+        assert all(a >= b for a, b in zip(lv, lv[1:]))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(64)

@@ -34,6 +34,7 @@ from shapeassoc import (
     preset,
 )
 from shapeassoc.axioms import describe_subject
+from shapeassoc.bench import DatasetSpec
 from shapeassoc.config import from_dict, to_dict
 from shapeassoc.estimates import CentralEstimate, ScaleEstimate
 from shapeassoc.measures import DecayTransform, MeasureSpec
@@ -172,6 +173,18 @@ class TestStrictness:
             from_dict({"kind": "weighted-mean", "weights": 5}, CentralEstimate)
         with pytest.raises(SpecError, match="'r'"):
             from_dict({"r": "two", "standardization": "unit-mean"}, DissimilaritySpec)
+
+    def test_bool_and_int_fields_are_not_coerced(self):
+        for k in (2.7, 2.0, True, "2.7"):
+            with pytest.raises(SpecError, match="projection.*'k'"):
+                from_dict({"kind": "projection", "k": k}, CentralEstimate)
+        for flag in ("false", 0, 1, None):
+            with pytest.raises(SpecError, match="file.*'has_ids'"):
+                from_dict({"kind": "file", "path": "x.txt", "has_ids": flag}, DatasetSpec)
+        for k in (2, "2"):
+            assert from_dict({"kind": "projection", "k": k}, CentralEstimate) == Projection(2)
+        spec = from_dict({"kind": "file", "path": "x.txt", "has_ids": False}, DatasetSpec)
+        assert spec.has_ids is False
 
     def test_key_omitted_only_when_field_has_a_default(self):
         assert from_dict({"kind": "rational-decay"}, DecayTransform) == RationalDecay(1.0)

@@ -41,6 +41,7 @@ from shapeassoc import (
     similarity,
     standardize,
 )
+from shapeassoc.estimates import scale_values
 from shapeassoc.measures import (
     associate_values,
     constant_ids,
@@ -387,3 +388,54 @@ class TestAssociationMatrix:
         with pytest.raises(ConstantSeriesError, match="flat"):
             association_matrix(Pearson(), data)
         assert constant_ids(data) == ("flat",)
+
+    def test_overflow_reported_with_ids(self):
+        x = np.array([1e200, -1e200, 3e200, 2e200])
+        data = load_set([x, x[::-1]], ids=["huge", "rev"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="'huge', 'rev'"):
+                association_matrix(Pearson(), data)
+
+
+class TestOverflow:
+    """Values whose squares overflow float64 raise DomainError, never NaN or 0.0."""
+
+    X = np.array([1e200, -1e200, 3e200, 2e200])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Pearson(),
+            MinkowskiContrast(D2_UNIT),
+            MinkowskiBranch(D2_CENTER),
+            CosineStandardized(UNIT_MEAN),
+        ],
+    )
+    def test_associate_raises(self, spec):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="not finite"):
+                associate(spec, ts(self.X), ts(self.X[::-1]))
+
+    def test_scale_raises(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="minkowski-deviation scale"):
+                scale_values(MinkowskiDeviation(2.0, ArithmeticMean()), self.X)
+
+    def test_dissimilarity_raises(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="dissimilarity"):
+                dissimilarity_values(D2_CENTER, self.X, self.X[::-1])
+
+    @pytest.mark.parametrize("spec", [Pearson(), CosineStandardized(CENTER_MEAN)])
+    def test_norm_product_overflow_raises(self, spec):
+        # each norm is finite, their product is not: the ratio would read -0.0
+        x = self.X * 1e-50
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="norm product"):
+                associate(spec, ts(x), ts(x[::-1]))
+
+    def test_large_but_safe_values_still_work(self):
+        x = self.X * 1e-140
+        assert associate(Pearson(), ts(x), ts(x[::-1])) == pytest.approx(
+            float(np.corrcoef(x, x[::-1])[0, 1]), abs=1e-12
+        )
