@@ -42,8 +42,6 @@ from .estimates import (
 from .standardize import (
     Center,
     CenterScale,
-    StandardizationFlags,
-    flags,
     preset,
     standardize,
 )

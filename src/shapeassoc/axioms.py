@@ -512,14 +512,9 @@ class CoverageCase:
     label: str
 
 
-def _raw_euclidean_similarity(vx: np.ndarray, vy: np.ndarray) -> float:
-    d = vx - vy
-    return 1.0 / (1.0 + float(np.sqrt(np.dot(d, d))))
-
-
 def coverage_suite() -> tuple[CoverageCase, ...]:
     """Subjects exercising every property in both directions."""
-    from .estimates import ArithmeticMean, GeneralizedMidrange, Min, central_values
+    from .estimates import ArithmeticMean, GeneralizedMidrange, Min, central_values, minkowski_norm
     from .measures import (
         ComplementDecay,
         MinkowskiBranch,
@@ -559,7 +554,9 @@ def coverage_suite() -> tuple[CoverageCase, ...]:
     probe_lopsided = Probe(_ASSOC, lopsided_gmdr, "lopsided-gmidrange-correlation", min_n=5)
     probe_offset_dissim = Probe(_DISSIM, lambda vx, vy: unit_dissim(vx, vy) + 0.1, "offset-dissim")
     probe_negated_dissim = Probe(_DISSIM, lambda vx, vy: -unit_dissim(vx, vy), "negated-dissim")
-    probe_raw_euclid = Probe(_SIM, _raw_euclidean_similarity, "raw-euclidean-similarity")
+    probe_raw_euclid = Probe(
+        _SIM, lambda vx, vy: 1.0 / (1.0 + minkowski_norm(vx - vy, 2.0)), "raw-euclidean-similarity"
+    )
     probe_overscaled_sim = Probe(
         _SIM, lambda vx, vy: 1.5 - 0.2 * unit_dissim(vx, vy), "overscaled-similarity"
     )

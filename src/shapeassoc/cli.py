@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import axioms as ax
 from .bench import benchmark_spec_from_dict, default_synthetic_spec, run_benchmark
 from .cluster import SimilarityMatrix, single_linkage
@@ -237,7 +239,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        # numpy's overflow warnings would precede the error line; every
+        # non-finite result already raises an error that names its cause
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (ShapeAssocError, ValueError, OSError) as exc:
         sys.stderr.write(f"shapeassoc: error: {exc}\n")
         return 1
@@ -245,3 +250,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

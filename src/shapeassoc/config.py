@@ -5,9 +5,10 @@ fields, under their own names. `from_dict(d, family)` reverses it: the
 "kind" picks the class among the family's subclasses (optional when the
 family is a single tagged class), each value is coerced to its field's type
 hint, and a key may be omitted exactly when its field has a default. A bool
-field takes only a JSON boolean, and an int field an integer or a string
-spelling one but never a boolean or a float, so "false" or 2.7 is an error
-rather than True or 2.
+field takes only a JSON boolean; an int field an integer, a float field a
+number, either one also a string spelling it, but never a boolean; a str
+field only a string; a tuple field only a list. So `"r": true`, `"path": 5`
+or `"weights": "1"` is an error rather than 1.0, "5" or (1.0,).
 Unknown keys are rejected rather than ignored so a typoed parameter cannot
 silently fall back to a default. A string names a standardization preset or
 a measure shorthand. These dict forms are what the CLI reads from JSON files.
@@ -112,16 +113,20 @@ def _coerce(value, hint, what: str, key: str):
         raise SpecError(f"{what}: bad value {value!r} for key {key!r}: {exc}") from None
 
 
+# JSON types each scalar field takes; a bool, being an int, fits only a bool field
+_ACCEPTS = {bool: bool, int: (int, str), float: (int, float, str), str: str}
+
+
 def _convert(value, hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise TypeError("expected a list")
         return tuple(_convert(v, args[0]) for v in value)
     if origin in (typing.Union, types.UnionType):  # X | None
         return None if value is None else _convert(value, args[0])
-    if hint is bool and not isinstance(value, bool):
-        raise TypeError("expected true or false")
-    if hint is int and isinstance(value, (bool, float)):
-        raise TypeError("expected an integer")
-    if hint in (int, float, str, bool):
+    if hint in _ACCEPTS:
+        if not isinstance(value, _ACCEPTS[hint]) or isinstance(value, bool) != (hint is bool):
+            raise TypeError(f"expected {hint.__name__}")
         return hint(value)
     return from_dict(value, hint)

@@ -4,7 +4,8 @@ Every central estimate maps a series to a single number lying between its
 minimum and maximum. Estimates are small frozen spec objects; each class
 carries its JSON tag, its evaluation (`evaluate`), its length bounds and the
 algebraic traits that standardizations and measures rely on. `central` and
-`scale` evaluate them.
+`scale` evaluate them. `minkowski_norm` is the one order-r norm, shared by
+MinkowskiDeviation and the Minkowski dissimilarity of `measures`.
 
 - translation additive:  E(x + q) = E(x) + q
 - scale proportional:    E(p * x) = p * E(x) for p > 0
@@ -168,9 +169,6 @@ class GeneralizedMidrange(CentralEstimate):
 
     def evaluate(self, v: np.ndarray) -> float:
         s = np.sort(v)
-        if self.k == 0 and self.m == 1:
-            # plain midrange, kept exactly equal to Midrange()
-            return float((s[0] + s[-1]) / 2.0)
         n = v.size
         low = s[self.k : self.m]
         high = s[n - self.m : n - self.k]
@@ -264,12 +262,17 @@ class MinkowskiDeviation(ScaleEstimate):
         return self.center.odd
 
     def evaluate(self, v: np.ndarray) -> float:
-        d = np.abs(v - central_values(self.center, v))
-        if self.r == 1.0:
-            return float(d.sum())
-        if self.r == 2.0:
-            return float(np.sqrt(np.dot(d, d)))
-        return float((d ** self.r).sum() ** (1.0 / self.r))
+        return minkowski_norm(v - central_values(self.center, v), self.r)
+
+
+def minkowski_norm(d: np.ndarray, r: float) -> float:
+    """(sum_i |d_i|**r) ** (1/r), with exact fast paths at r = 1 and r = 2."""
+    a = np.abs(d)
+    if r == 1.0:
+        return float(a.sum())
+    if r == 2.0:
+        return float(np.sqrt(np.dot(a, a)))
+    return float((a ** r).sum() ** (1.0 / r))
 
 
 def central_values(spec: CentralEstimate, v: np.ndarray) -> float:

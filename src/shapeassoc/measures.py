@@ -5,18 +5,22 @@ order r, then turn distances into similarities or signed associations.
 
     D(x, y) = (sum_i |F(x)_i - F(y)_i| ** r) ** (1/r)
 
-Signed association can be built two ways:
+D is `estimates.minkowski_norm` of F(x) - F(y). Signed association can be
+built two ways:
 
 - branch form: compare D(x, y) against D(x, -y); report the decayed
   similarity of the closer orientation, with the sign of that orientation.
-  Sound whenever F is odd (so F(-y) = -F(y)) and translation invariant.
+  Sound whenever F is odd (`F.odd`: F(-y) = -F(y)); every standardization
+  is translation invariant.
 - contrast form: W(D(x, -y)) - W(D(x, y)) for an increasing W with
   W(0) = 0 and W(2) = 1. Sound when F is additionally r-normal
-  (sum |F(x)_i|**r = 1), which caps D at 2.
+  (`F.normality_order == r`: sum |F(x)_i|**r = 1), which caps D at 2.
 
 Validated constructors (MinkowskiBranch, MinkowskiContrast) refuse
 standardizations that break these preconditions. The Similarity* constructors
 accept any recipe unchecked; the axiom harness exists to catch bad ones.
+Pearson and CosineStandardized share one cosine formula: Pearson is the
+cosine of the mean-centered vectors.
 """
 
 from __future__ import annotations
@@ -28,20 +32,11 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, ShapeError, SpecError
-from .estimates import GeneralizedMidrange, central_values
+from .estimates import GeneralizedMidrange, minkowski_norm
 from .series import SeriesSet, TimeSeries, is_constant
-from .standardize import Standardization, standardize_values
+from .standardize import Center, Standardization, standardize_values
 
 _BRANCH_TIE_TOL = 1e-12
-
-
-def _minkowski(diff: np.ndarray, r: float) -> float:
-    a = np.abs(diff)
-    if r == 1.0:
-        return float(a.sum())
-    if r == 2.0:
-        return float(np.sqrt(np.dot(a, a)))
-    return float((a ** r).sum() ** (1.0 / r))
 
 
 @dataclass(frozen=True)
@@ -61,12 +56,12 @@ class DissimilaritySpec:
     @property
     def normal(self) -> bool:
         """Standardized vectors are unit at order r, so D <= 2."""
-        return self.standardization.flags.normality_order == self.r
+        return self.standardization.normality_order == self.r
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         fx = standardize_values(self.standardization, vx)
         fy = standardize_values(self.standardization, vy)
-        return _minkowski(fx - fy, self.r)
+        return minkowski_norm(fx - fy, self.r)
 
 
 # --- transforms between dissimilarity and similarity ------------------------
@@ -220,10 +215,7 @@ class MeasureSpec:
 
 
 def _require_branch_preconditions(dissim: DissimilaritySpec, what: str) -> None:
-    f = dissim.standardization.flags
-    if not f.translation_invariant:
-        raise SpecError(f"{what} needs a translation-invariant standardization")
-    if not f.odd:
+    if not dissim.standardization.odd:
         raise SpecError(
             f"{what} needs an odd standardization (center and spread estimates "
             "that commute with negation); got a non-odd one"
@@ -338,34 +330,25 @@ class SimilarityComplement(MeasureSpec):
         return 2.0 * self.recipe.evaluate(vx, vy) - 1.0
 
 
-def _check_denominator(denom: float) -> None:
-    # an overflowing norm product would turn the ratio into a silent 0.0
-    if not math.isfinite(denom):
-        raise DomainError(f"norm product is not finite ({denom}); the values overflow float64")
-
-
 def _cosine(fx: np.ndarray, fy: np.ndarray) -> float:
     denom = np.sqrt(np.dot(fx, fx) * np.dot(fy, fy))
     if denom == 0.0:
         raise ConstantSeriesError("cosine is undefined when a standardized series is zero")
-    _check_denominator(denom)
+    # an overflowing norm product would turn the ratio into a silent 0.0
+    if not math.isfinite(denom):
+        raise DomainError(f"norm product is not finite ({denom}); the values overflow float64")
     return float(np.dot(fx, fy) / denom)
 
 
 @dataclass(frozen=True)
 class Pearson(MeasureSpec):
-    """Product-moment correlation of the raw samples."""
+    """Product-moment correlation of the raw samples: the cosine of the
+    mean-centered vectors."""
 
     tag = "pearson"
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
-        dx = vx - vx.mean()
-        dy = vy - vy.mean()
-        denom = np.sqrt(np.dot(dx, dx) * np.dot(dy, dy))
-        if denom == 0.0:
-            raise ConstantSeriesError("correlation is undefined for a constant series")
-        _check_denominator(denom)
-        return float(np.dot(dx, dy) / denom)
+        return _cosine(vx - vx.mean(), vy - vy.mean())
 
 
 @dataclass(frozen=True)
@@ -375,9 +358,7 @@ class CosineStandardized(MeasureSpec):
     tag = "cosine"
     standardization: Standardization
     bounds = property(lambda self: self.standardization.bounds)
-
-    def __post_init__(self):
-        object.__setattr__(self, "verified", self.standardization.flags.odd)
+    verified = property(lambda self: self.standardization.odd)
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         fx = standardize_values(self.standardization, vx)
@@ -399,14 +380,12 @@ class GeneralizedMidrangeCorrelation(MeasureSpec):
 
     def __post_init__(self):
         # parameter sanity is delegated to the estimate
-        center = GeneralizedMidrange(self.k, self.m)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "bounds", center.bounds)
+        centering = Center(GeneralizedMidrange(self.k, self.m))
+        object.__setattr__(self, "centering", centering)
+        object.__setattr__(self, "bounds", centering.bounds)
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
-        fx = vx - central_values(self.center, vx)
-        fy = vy - central_values(self.center, vy)
-        return _cosine(fx, fy)
+        return _cosine(self.centering.evaluate(vx), self.centering.evaluate(vy))
 
 
 def associate_values(spec: MeasureSpec, vx: np.ndarray, vy: np.ndarray) -> float:

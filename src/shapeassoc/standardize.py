@@ -6,10 +6,12 @@ than raw level. Two families:
 - Center(E):            F(x) = x - E(x)
 - CenterScale(E1, E2):  F(x) = (x - E1(x)) / E2(x)
 
-Both are idempotent (F(F(x)) = F(x)) and translation invariant. CenterScale is
-additionally scale invariant; Center is only scale proportional. `flags`
-derives the properties a measure constructor may rely on, from the traits of
-the chosen estimates.
+Both are idempotent (F(F(x)) = F(x)) and translation invariant. Each carries,
+as attributes derived from its estimates, the traits measure constructors
+rely on: `odd` (F(-x) = -F(x)), `scale_invariant` (F(p x) = F(x) for p > 0;
+True for CenterScale, while Center is scale proportional instead) and
+`normality_order` (r when sum_i |F(x)_i|**r == 1, which bounds the order-r
+dissimilarity of standardized series by 2; else None).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConstantSeriesError, SpecError
+from .errors import ConstantSeriesError, DomainError, SpecError
 from .estimates import (
     ArithmeticMean,
     CentralEstimate,
@@ -33,26 +35,12 @@ from .estimates import (
 from .series import TimeSeries
 
 
-@dataclass(frozen=True)
-class StandardizationFlags:
-    """Algebraic behavior that measure constructors depend on.
-
-    normality_order is set when the spread is the Minkowski deviation of the
-    same center at order r: then sum_i |F(x)_i|**r == 1, which bounds the
-    order-r dissimilarity of standardized series by 2.
-    """
-
-    translation_invariant: bool
-    scale_invariant: bool
-    scale_proportional: bool
-    odd: bool
-    normality_order: float | None
-
-
 class Standardization:
-    """Family base of the standardizations; `flags` is set at construction."""
+    """Family base of the standardizations."""
 
     tag: ClassVar[str]
+    scale_invariant: ClassVar[bool]
+    normality_order = None
 
 
 @dataclass(frozen=True)
@@ -60,18 +48,10 @@ class Center(Standardization):
     """Subtract a central estimate: F(x) = x - E(x)."""
 
     tag = "center"
+    scale_invariant = False
     center: CentralEstimate
     bounds = property(lambda self: self.center.bounds)
-
-    def __post_init__(self):
-        f = StandardizationFlags(
-            translation_invariant=True,
-            scale_invariant=False,
-            scale_proportional=True,
-            odd=self.center.odd,
-            normality_order=None,
-        )
-        object.__setattr__(self, "flags", f)
+    odd = property(lambda self: self.center.odd)
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
         return v - central_values(self.center, v)
@@ -82,21 +62,16 @@ class CenterScale(Standardization):
     """Subtract a center, divide by a spread: F(x) = (x - E1(x)) / E2(x)."""
 
     tag = "center-scale"
+    scale_invariant = True
     center: CentralEstimate
     spread: ScaleEstimate
+    odd = property(lambda self: self.center.odd and self.spread.even)
 
-    def __post_init__(self):
-        normality = None
-        if isinstance(self.spread, MinkowskiDeviation) and self.spread.center == self.center:
-            normality = self.spread.r
-        f = StandardizationFlags(
-            translation_invariant=True,
-            scale_invariant=True,
-            scale_proportional=False,
-            odd=self.center.odd and self.spread.even,
-            normality_order=normality,
-        )
-        object.__setattr__(self, "flags", f)
+    @property
+    def normality_order(self) -> float | None:
+        """r when the spread is the order-r Minkowski deviation of the same center."""
+        s = self.spread
+        return s.r if isinstance(s, MinkowskiDeviation) and s.center == self.center else None
 
     @property
     def bounds(self) -> tuple[int, int | None]:
@@ -112,19 +87,21 @@ class CenterScale(Standardization):
         return centered / scale_values(self.spread, v)
 
 
-def flags(spec: Standardization) -> StandardizationFlags:
-    """Algebraic behavior of a standardization, from its estimates' traits."""
-    return spec.flags
-
-
 def standardize_values(spec: Standardization, v: np.ndarray) -> np.ndarray:
     """Apply the standardization to a raw value vector."""
     return spec.evaluate(v)
 
 
 def standardize(spec: Standardization, x: TimeSeries) -> TimeSeries:
-    """Standardized copy of x, same id."""
-    return TimeSeries(x.id, standardize_values(spec, x.values))
+    """Standardized copy of x, same id; an error naming x when x is constant
+    under a scaling standardization or its values overflow."""
+    try:
+        out = standardize_values(spec, x.values)
+        if not np.isfinite(out).all():
+            raise DomainError("standardized values are not finite; the values overflow float64")
+    except (ConstantSeriesError, DomainError) as exc:
+        raise type(exc)(f"series {x.id!r}: {exc}") from exc
+    return TimeSeries(x.id, out)
 
 
 _PRESETS = ("center-mean", "center-min", "unit-mean", "unit-gmidrange")

@@ -50,7 +50,7 @@ from shapeassoc import (
 )
 from shapeassoc.estimates import central_values
 from shapeassoc.measures import associate_values
-from shapeassoc.standardize import flags, standardize_values
+from shapeassoc.standardize import standardize_values
 
 from helpers import random_values
 
@@ -196,7 +196,6 @@ def test_criterion_5_standardization_suite():
         q = float(rng.uniform(-10, 10))
         p = float(rng.choice((1e-3, 0.5, 2.0, 1e3)))
         for spec in specs:
-            f = flags(spec)
             out = standardize_values(spec, v)
             worst["idempotency"] = max(
                 worst["idempotency"], float(np.max(np.abs(standardize_values(spec, out) - out)))
@@ -205,16 +204,16 @@ def test_criterion_5_standardization_suite():
             worst["translation"] = max(
                 worst["translation"], float(np.max(np.abs(standardize_values(spec, v + q) - out)))
             )
-            if f.scale_invariant:
+            if spec.scale_invariant:
                 worst["scale"] = max(
                     worst["scale"], float(np.max(np.abs(standardize_values(spec, p * v) - out)))
                 )
-            if f.odd:
+            if spec.odd:
                 worst["odd"] = max(
                     worst["odd"], float(np.max(np.abs(standardize_values(spec, -v) + out)))
                 )
-            if f.normality_order is not None:
-                total = float(np.sum(np.abs(out) ** f.normality_order))
+            if spec.normality_order is not None:
+                total = float(np.sum(np.abs(out) ** spec.normality_order))
                 worst["normality"] = max(worst["normality"], abs(total - 1.0))
     bad = {key: val for key, val in worst.items() if val > 1e-10}
     detail = " ".join(f"{key}={val:.2e}" for key, val in worst.items())

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from shapeassoc.cli import main
@@ -277,11 +281,27 @@ class TestMalformedConfig:
     def test_overflowing_values(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
         p.write_text("a,1e200,-1e200,3e200,2e200\nb,2e200,3e200,-1e200,1e200\n")
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = run("matrix", "--input", str(p), "--delimiter", "comma", "--ids", "--measure", "pearson")
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("shapeassoc: error:") and "('a', 'b')" in err and "not finite" in err
+
+    def test_failing_standardization_names_the_series(self, tmp_path, capsys):
+        p = tmp_path / "bad.csv"
+        for spec, row, cause in (
+            ("center-mean", "b,1.7e308,1.7e308,-1.7e308", "overflow"),
+            ("unit-mean", "b,1.7e308,1.7e308,-1.7e308", "overflow"),
+            ("unit-mean", "b,4,4,4", "constant"),
+        ):
+            p.write_text(f"a,1,2,3\n{row}\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run("standardize", "--input", str(p), "--delimiter", "comma", "--ids", "--spec", spec)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("shapeassoc: error: series 'b':") and cause in err, err
 
 
 class TestUsageErrors:
@@ -306,3 +326,25 @@ class TestUsageErrors:
         code = run("matrix", "--input", str(p), "--delimiter", "comma", "--measure", "pearson")
         assert code == 1
         assert "cannot parse" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        # `python -m shapeassoc.cli` runs `entrypoint`, as the console script does
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        (tmp_path / "waves.csv").write_text("a,1,2,3,4,5\nb,2,3,5,5,6\nc,5,4,3,2,1\n")
+        (tmp_path / "huge.csv").write_text("a,1e200,-1e200,3e200,2e200\nb,2e200,3e200,-1e200,1e200\n")
+
+        def cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "shapeassoc.cli", *argv, "--delimiter", "comma", "--ids"],
+                cwd=tmp_path, capture_output=True, text=True, env=env,
+            )
+
+        done = cli("assoc", "--input", "waves.csv", "--measure", "pearson", "--x", "a", "--y", "c")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "-1.0\n", "")
+        done = cli("matrix", "--input", "huge.csv", "--measure", "pearson")
+        assert done.returncode == 1 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("shapeassoc: error:"), done.stderr

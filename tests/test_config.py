@@ -181,8 +181,23 @@ class TestStrictness:
         for flag in ("false", 0, 1, None):
             with pytest.raises(SpecError, match="file.*'has_ids'"):
                 from_dict({"kind": "file", "path": "x.txt", "has_ids": flag}, DatasetSpec)
+        for r in (True, False, None, [2.0], {"r": 2.0}):
+            with pytest.raises(SpecError, match="minkowski.*'r'"):
+                from_dict({"r": r, "standardization": "unit-mean"}, DissimilaritySpec)
+        for path in (5, 5.0, True, ["x.txt"]):
+            with pytest.raises(SpecError, match="file.*'path'"):
+                from_dict({"kind": "file", "path": path}, DatasetSpec)
+        for weights in ("1", {"1": 0}, 1.0):
+            with pytest.raises(SpecError, match="weighted-mean.*'weights'"):
+                from_dict({"kind": "weighted-mean", "weights": weights}, CentralEstimate)
         for k in (2, "2"):
             assert from_dict({"kind": "projection", "k": k}, CentralEstimate) == Projection(2)
+        for r in (2, 2.0, "2"):
+            spec = from_dict({"r": r, "standardization": "unit-mean"}, DissimilaritySpec)
+            assert spec == DissimilaritySpec(2.0, preset("unit-mean"))
+        for weights in ([1], (1.0,)):
+            spec = from_dict({"kind": "weighted-mean", "weights": weights}, CentralEstimate)
+            assert spec == WeightedMean((1.0,))
         spec = from_dict({"kind": "file", "path": "x.txt", "has_ids": False}, DatasetSpec)
         assert spec.has_ids is False
 

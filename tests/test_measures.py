@@ -299,6 +299,14 @@ class TestCrossRouteEquivalences:
             vx, vy = random_values(rng, n), random_values(rng, n)
             assert abs(associate_values(contrast, vx, vy) - associate_values(cosine, vx, vy)) <= 1e-9
 
+    def test_pearson_is_cosine_of_mean_centered(self):
+        cosine = CosineStandardized(preset("center-mean"))
+        rng = np.random.default_rng(52)
+        for _ in range(200):
+            n = int(rng.integers(3, 50))
+            x, y = ts(random_values(rng, n)), ts(random_values(rng, n), "y")
+            assert associate(Pearson(), x, y) == associate(cosine, x, y)
+
     def test_cosine_route_matches_explicit_standardize(self):
         f = preset("unit-mean")
         rng = np.random.default_rng(49)

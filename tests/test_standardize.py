@@ -15,7 +15,6 @@ from shapeassoc import (
     SpecError,
     central,
     constant_series,
-    flags,
     is_constant,
     preset,
     standardize,
@@ -72,39 +71,33 @@ class TestPresets:
 
 class TestFlags:
     def test_unit_mean_flags(self):
-        f = flags(preset("unit-mean"))
-        assert f.translation_invariant
-        assert f.scale_invariant
-        assert f.odd
-        assert f.normality_order == 2.0
-        assert not f.scale_proportional
+        spec = preset("unit-mean")
+        assert spec.scale_invariant
+        assert spec.odd
+        assert spec.normality_order == 2.0
 
     def test_center_mean_flags(self):
-        f = flags(preset("center-mean"))
-        assert f.translation_invariant
-        assert f.scale_proportional
-        assert f.odd
-        assert not f.scale_invariant
-        assert f.normality_order is None
+        spec = preset("center-mean")
+        assert spec.odd
+        assert not spec.scale_invariant
+        assert spec.normality_order is None
 
     def test_center_min_not_odd(self):
-        assert not flags(preset("center-min")).odd
+        assert not preset("center-min").odd
 
     def test_mismatched_deviation_center_loses_normality(self):
         spec = CenterScale(Median(), MinkowskiDeviation(2.0, ArithmeticMean()))
-        f = flags(spec)
-        assert f.normality_order is None
-        assert f.scale_invariant
+        assert spec.normality_order is None
+        assert spec.scale_invariant
 
     def test_range_scaled_has_no_normality(self):
-        f = flags(CenterScale(Midrange(), Range()))
-        assert f.normality_order is None
-        assert f.scale_invariant
-        assert f.odd
+        spec = CenterScale(Midrange(), Range())
+        assert spec.normality_order is None
+        assert spec.scale_invariant
+        assert spec.odd
 
     def test_even_spread_with_non_odd_center(self):
-        f = flags(CenterScale(Min(), Range()))
-        assert not f.odd
+        assert not CenterScale(Min(), Range()).odd
 
 
 class TestLengthBounds:
@@ -159,9 +152,21 @@ class TestInvariants:
             v = random_values(rng, int(rng.integers(5, 40)))
             for p in (1e-3, 0.5, 2.0, 1e3):
                 for spec in _SPECS:
-                    if not flags(spec).scale_invariant:
+                    if not spec.scale_invariant:
                         continue
                     delta = standardize_values(spec, p * v) - standardize_values(spec, v)
+                    assert np.max(np.abs(delta)) <= 1e-10, spec
+
+    def test_scale_proportionality_of_center(self):
+        # F(p x) = p F(x) for p > 0 when F only subtracts a center
+        rng = np.random.default_rng(38)
+        for _ in range(100):
+            v = random_values(rng, int(rng.integers(5, 40)))
+            for p in (1e-3, 0.5, 2.0, 1e3):
+                for spec in _SPECS:
+                    if spec.scale_invariant:
+                        continue
+                    delta = standardize_values(spec, p * v) - p * standardize_values(spec, v)
                     assert np.max(np.abs(delta)) <= 1e-10, spec
 
     def test_oddness_of_flagged_specs(self):
@@ -169,7 +174,7 @@ class TestInvariants:
         for _ in range(100):
             v = random_values(rng, int(rng.integers(5, 40)))
             for spec in _SPECS:
-                if not flags(spec).odd:
+                if not spec.odd:
                     continue
                 delta = standardize_values(spec, -v) + standardize_values(spec, v)
                 assert np.max(np.abs(delta)) <= 1e-12, spec
@@ -179,7 +184,7 @@ class TestInvariants:
         for _ in range(100):
             v = random_values(rng, int(rng.integers(5, 40)))
             for spec in _SPECS:
-                r = flags(spec).normality_order
+                r = spec.normality_order
                 if r is None:
                     continue
                 out = standardize_values(spec, v)
