@@ -3,7 +3,12 @@
 `verify` throws generated series at a subject (an association measure, a
 similarity recipe, or a dissimilarity spec) and checks each requested property
 up to a tolerance. Failures carry a witness: the exact inputs and transform
-parameters that broke the property, so the report stands on its own.
+parameters that broke the property, so the report stands on its own, and
+`replay` recomputes its violation through the same trial evaluation.
+
+Each property is defined once, on its `PropertyId` member: the subject kinds
+it applies to, the inputs it draws, its transform parameters and its
+violation formula.
 
 Trial generation is fully determined by (seed, property, trial index); two
 runs with the same arguments produce byte-identical reports.
@@ -30,58 +35,121 @@ from .measures import (
 )
 
 
-class PropertyId(enum.Enum):
-    """Identifiers for every property the harness can check.
-
-    Each maps to one quantified predicate over series; see _violation for the
-    exact formula. "P" below stands for whichever of A (association),
-    S (similarity) or D (dissimilarity) the subject computes.
-    """
-
-    SYMMETRY = "symmetry"                                  # P(x,y) = P(y,x)
-    DISSIM_SELF_ZERO = "dissim-self-zero"                  # D(x,x) = 0
-    SIM_REFLEXIVITY = "sim-reflexivity"                    # S(x,x) = 1
-    ASSOC_REFLEXIVITY = "assoc-reflexivity"                # A(x,x) = 1
-    INVERSE_REFLEXIVITY = "inverse-reflexivity"            # A(-x,x) = -1
-    INVERSE_RELATIONSHIP = "inverse-relationship"          # A(-x,y) = -A(x,y)
-    TRANSLATION_INVARIANCE = "translation-invariance"      # P(x+q,y) = P(x,y)
-    SCALE_INVARIANCE = "scale-invariance"                  # P(p*x,y) = P(x,y), p>0
-    AFFINE_SIGN_RULE = "affine-sign-rule"                  # A(p1x+q1,p2y+q2) = sgn(p1)sgn(p2)A(x,y)
-    SIGN_PERMUTATION = "sign-permutation"                  # P(-x,y) = P(x,-y)
-    SIGN_CANCELLATION = "sign-cancellation"                # P(-x,-y) = P(x,y)
-    COMPLEMENT_OF_REFLECTIONS = "complement-of-reflections"  # S(-x,y) = 1 - S(x,y)
-    REFLECTION_INVARIANCE = "reflection-invariance"        # S(-x,y) = S(x,y)
-    SIMILARITY_OF_REFLECTIONS = "similarity-of-reflections"  # S(-x,x) = 1
-    WEAK_SIMILARITY_OF_REFLECTIONS = "weak-similarity-of-reflections"  # S(-x,x) <= 1
-    NON_SIMILARITY_OF_REFLECTIONS = "non-similarity-of-reflections"  # S(-x,x) = 0
-    CONSTANT_SERIES_SIMILARITY = "constant-series-similarity"  # S(const, const') = 1
-    RANGE_BOUNDS = "range-bounds"                          # A in [-1,1]; S in [0,1]; D >= 0
-
-
 _ASSOC = "association"
 _SIM = "similarity"
 _DISSIM = "dissimilarity"
+_ALL = (_ASSOC, _SIM, _DISSIM)
 
-APPLICABILITY: dict[PropertyId, frozenset[str]] = {
-    PropertyId.SYMMETRY: frozenset({_ASSOC, _SIM, _DISSIM}),
-    PropertyId.DISSIM_SELF_ZERO: frozenset({_DISSIM}),
-    PropertyId.SIM_REFLEXIVITY: frozenset({_SIM}),
-    PropertyId.ASSOC_REFLEXIVITY: frozenset({_ASSOC}),
-    PropertyId.INVERSE_REFLEXIVITY: frozenset({_ASSOC}),
-    PropertyId.INVERSE_RELATIONSHIP: frozenset({_ASSOC}),
-    PropertyId.TRANSLATION_INVARIANCE: frozenset({_ASSOC, _SIM, _DISSIM}),
-    PropertyId.SCALE_INVARIANCE: frozenset({_ASSOC, _SIM, _DISSIM}),
-    PropertyId.AFFINE_SIGN_RULE: frozenset({_ASSOC}),
-    PropertyId.SIGN_PERMUTATION: frozenset({_ASSOC, _SIM, _DISSIM}),
-    PropertyId.SIGN_CANCELLATION: frozenset({_ASSOC, _SIM, _DISSIM}),
-    PropertyId.COMPLEMENT_OF_REFLECTIONS: frozenset({_SIM}),
-    PropertyId.REFLECTION_INVARIANCE: frozenset({_SIM}),
-    PropertyId.SIMILARITY_OF_REFLECTIONS: frozenset({_SIM}),
-    PropertyId.WEAK_SIMILARITY_OF_REFLECTIONS: frozenset({_SIM}),
-    PropertyId.NON_SIMILARITY_OF_REFLECTIONS: frozenset({_SIM}),
-    PropertyId.CONSTANT_SERIES_SIMILARITY: frozenset({_SIM}),
-    PropertyId.RANGE_BOUNDS: frozenset({_ASSOC, _SIM, _DISSIM}),
-}
+_SCALE_CHOICES = (1e-3, 0.5, 2.0, 1e3)
+_AFFINE_SLOPES = (-3.0, -1.0, 0.5, 2.0)
+_OFFSET_RANGE = 10.0
+
+
+def _offset(rng: np.random.Generator) -> float:
+    return float(rng.uniform(-_OFFSET_RANGE, _OFFSET_RANGE))
+
+
+def _affine_params(rng: np.random.Generator) -> dict:
+    return {
+        "scale_x": float(rng.choice(_AFFINE_SLOPES)),
+        "scale_y": float(rng.choice(_AFFINE_SLOPES)),
+        "offset_x": _offset(rng),
+        "offset_y": _offset(rng),
+    }
+
+
+def _affine_sign_rule(ev, x, y, p, *_) -> float:
+    px, py = p["scale_x"], p["scale_y"]
+    lhs = ev(px * x + p["offset_x"], py * y + p["offset_y"])
+    return abs(lhs - math.copysign(1.0, px) * math.copysign(1.0, py) * ev(x, y))
+
+
+def _range_bounds(ev, x, y, p, kind, upper) -> float:
+    value = ev(x, y)
+    if kind == _ASSOC:
+        return max(0.0, abs(value) - 1.0)
+    if kind == _SIM:
+        return max(0.0, -value, value - 1.0)
+    v = max(0.0, -value)
+    return v if upper is None else max(v, value - upper)
+
+
+class PropertyId(enum.Enum):
+    """Every property the harness can check, each defined on its member.
+
+    A member's value is its string id. It also carries:
+
+    - `kinds`: the subject kinds it applies to;
+    - `inputs`: what a trial draws, "x", "xy", or "constants" (two constant
+      series, drawn after an x that they replace);
+    - `draw(rng)`: the transform parameters, as a dict;
+    - `violation(ev, x, y, params, kind, upper)`: how far one trial is from
+      the property, 0 when it held exactly. `ev` is the subject's function,
+      `kind` its kind and `upper` a dissimilarity's upper bound, or None.
+
+    A member's position (`index`) seeds its trials, so member order must
+    never change: append new members at the end.
+    """
+
+    def __new__(cls, value, kinds, inputs, violation, draw=lambda rng: {}):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.index = len(cls.__members__)
+        member.kinds, member.inputs, member.violation, member.draw = kinds, inputs, violation, draw
+        return member
+
+    SYMMETRY = "symmetry", _ALL, "xy", lambda ev, x, y, *_: abs(ev(x, y) - ev(y, x))
+    DISSIM_SELF_ZERO = "dissim-self-zero", (_DISSIM,), "x", lambda ev, x, *_: abs(ev(x, x))
+    SIM_REFLEXIVITY = "sim-reflexivity", (_SIM,), "x", lambda ev, x, *_: abs(ev(x, x) - 1.0)
+    ASSOC_REFLEXIVITY = (
+        "assoc-reflexivity", (_ASSOC,), "x", lambda ev, x, *_: abs(ev(x, x) - 1.0)
+    )
+    INVERSE_REFLEXIVITY = (
+        "inverse-reflexivity", (_ASSOC,), "x", lambda ev, x, *_: abs(ev(-x, x) + 1.0)
+    )
+    INVERSE_RELATIONSHIP = (
+        "inverse-relationship", (_ASSOC,), "xy", lambda ev, x, y, *_: abs(ev(-x, y) + ev(x, y))
+    )
+    TRANSLATION_INVARIANCE = (
+        "translation-invariance", _ALL, "xy",
+        lambda ev, x, y, p, *_: abs(ev(x + p["offset"], y) - ev(x, y)),
+        lambda rng: {"offset": _offset(rng)},
+    )
+    SCALE_INVARIANCE = (
+        "scale-invariance", _ALL, "xy",
+        lambda ev, x, y, p, *_: abs(ev(p["scale"] * x, y) - ev(x, y)),
+        lambda rng: {"scale": float(rng.choice(_SCALE_CHOICES))},
+    )
+    AFFINE_SIGN_RULE = "affine-sign-rule", (_ASSOC,), "xy", _affine_sign_rule, _affine_params
+    SIGN_PERMUTATION = (
+        "sign-permutation", _ALL, "xy", lambda ev, x, y, *_: abs(ev(-x, y) - ev(x, -y))
+    )
+    SIGN_CANCELLATION = (
+        "sign-cancellation", _ALL, "xy", lambda ev, x, y, *_: abs(ev(-x, -y) - ev(x, y))
+    )
+    COMPLEMENT_OF_REFLECTIONS = (
+        "complement-of-reflections", (_SIM,), "xy",
+        lambda ev, x, y, *_: abs(ev(-x, y) - (1.0 - ev(x, y))),
+    )
+    REFLECTION_INVARIANCE = (
+        "reflection-invariance", (_SIM,), "xy", lambda ev, x, y, *_: abs(ev(-x, y) - ev(x, y))
+    )
+    SIMILARITY_OF_REFLECTIONS = (
+        "similarity-of-reflections", (_SIM,), "x", lambda ev, x, *_: abs(ev(-x, x) - 1.0)
+    )
+    WEAK_SIMILARITY_OF_REFLECTIONS = (
+        "weak-similarity-of-reflections", (_SIM,), "x",
+        lambda ev, x, *_: max(0.0, ev(-x, x) - 1.0),
+    )
+    NON_SIMILARITY_OF_REFLECTIONS = (
+        "non-similarity-of-reflections", (_SIM,), "x", lambda ev, x, *_: abs(ev(-x, x))
+    )
+    CONSTANT_SERIES_SIMILARITY = (
+        "constant-series-similarity", (_SIM,), "constants",
+        lambda ev, x, y, *_: abs(ev(x, y) - 1.0),
+    )
+    RANGE_BOUNDS = "range-bounds", _ALL, "xy", _range_bounds
+
 
 # the defining axioms of a shape association measure
 SAM_PROPERTIES = (
@@ -92,10 +160,6 @@ SAM_PROPERTIES = (
     PropertyId.INVERSE_RELATIONSHIP,
     PropertyId.TRANSLATION_INVARIANCE,
 )
-
-_SCALE_CHOICES = (1e-3, 0.5, 2.0, 1e3)
-_AFFINE_SLOPES = (-3.0, -1.0, 0.5, 2.0)
-_OFFSET_RANGE = 10.0
 
 
 @dataclass(frozen=True)
@@ -126,7 +190,7 @@ class Probe:
     bounds = property(lambda self: (self.min_n, None))
 
     def __post_init__(self):
-        if self.kind not in (_ASSOC, _SIM, _DISSIM):
+        if self.kind not in _ALL:
             raise SpecError(f"unknown subject kind {self.kind!r}")
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
@@ -164,15 +228,8 @@ def describe_subject(subject) -> dict:
 # --- deterministic input generation -------------------------------------------
 
 
-def _style_for_trial(t: int) -> str:
-    slot = t % 10
-    if slot == 7:
-        return "monotone"
-    if slot == 8:
-        return "near-constant"
-    if slot == 9:
-        return "alternating"
-    return "uniform"
+# the input style of trial t is _STYLES[t % 10]
+_STYLES = ("uniform",) * 7 + ("monotone", "near-constant", "alternating")
 
 
 def _draw_series(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
@@ -185,11 +242,9 @@ def _draw_series(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
             v = v[::-1].copy()
     elif style == "near-constant":
         v = rng.uniform(-1.0, 1.0) + rng.uniform(-0.5e-6, 0.5e-6, n)
-    elif style == "alternating":
+    else:  # alternating
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         v = signs * rng.uniform(0.5, 5.0, n)
-    else:
-        raise SpecError(f"unknown trial style {style!r}")
     if np.all(v == v[0]):
         # probability-zero fallback; keep the draw non-constant
         v = v.copy()
@@ -197,94 +252,12 @@ def _draw_series(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
     return v
 
 
-_PAIR_PROPS = frozenset(
-    {
-        PropertyId.SYMMETRY,
-        PropertyId.INVERSE_RELATIONSHIP,
-        PropertyId.TRANSLATION_INVARIANCE,
-        PropertyId.SCALE_INVARIANCE,
-        PropertyId.AFFINE_SIGN_RULE,
-        PropertyId.SIGN_PERMUTATION,
-        PropertyId.SIGN_CANCELLATION,
-        PropertyId.COMPLEMENT_OF_REFLECTIONS,
-        PropertyId.REFLECTION_INVARIANCE,
-        PropertyId.RANGE_BOUNDS,
-    }
-)
-
-
-def _draw_trial(prop: PropertyId, rng: np.random.Generator, n: int, style: str) -> dict:
-    """Inputs and transform parameters for one trial, as a plain dict."""
-    params: dict = {"x": _draw_series(rng, n, style)}
-    if prop is PropertyId.CONSTANT_SERIES_SIMILARITY:
-        q, r = rng.uniform(-10.0, 10.0, 2)
-        params["x"] = np.full(n, q)
-        params["y"] = np.full(n, r)
-        return params
-    if prop in _PAIR_PROPS:
-        params["y"] = _draw_series(rng, n, style)
-    if prop is PropertyId.TRANSLATION_INVARIANCE:
-        params["offset"] = float(rng.uniform(-_OFFSET_RANGE, _OFFSET_RANGE))
-    elif prop is PropertyId.SCALE_INVARIANCE:
-        params["scale"] = float(rng.choice(_SCALE_CHOICES))
-    elif prop is PropertyId.AFFINE_SIGN_RULE:
-        params["scale_x"] = float(rng.choice(_AFFINE_SLOPES))
-        params["scale_y"] = float(rng.choice(_AFFINE_SLOPES))
-        params["offset_x"] = float(rng.uniform(-_OFFSET_RANGE, _OFFSET_RANGE))
-        params["offset_y"] = float(rng.uniform(-_OFFSET_RANGE, _OFFSET_RANGE))
-    return params
-
-
-def _violation(prop: PropertyId, ev, kind: str, params: dict, upper: float | None) -> float:
-    """Size of the property violation for one trial; 0 means it held exactly."""
-    x = np.asarray(params["x"], dtype=np.float64)
-    y = np.asarray(params["y"], dtype=np.float64) if "y" in params else None
-    if prop is PropertyId.SYMMETRY:
-        return abs(ev(x, y) - ev(y, x))
-    if prop is PropertyId.DISSIM_SELF_ZERO:
-        return abs(ev(x, x))
-    if prop in (PropertyId.SIM_REFLEXIVITY, PropertyId.ASSOC_REFLEXIVITY):
-        return abs(ev(x, x) - 1.0)
-    if prop is PropertyId.INVERSE_REFLEXIVITY:
-        return abs(ev(-x, x) + 1.0)
-    if prop is PropertyId.INVERSE_RELATIONSHIP:
-        return abs(ev(-x, y) + ev(x, y))
-    if prop is PropertyId.TRANSLATION_INVARIANCE:
-        return abs(ev(x + params["offset"], y) - ev(x, y))
-    if prop is PropertyId.SCALE_INVARIANCE:
-        return abs(ev(params["scale"] * x, y) - ev(x, y))
-    if prop is PropertyId.AFFINE_SIGN_RULE:
-        px, py = params["scale_x"], params["scale_y"]
-        lhs = ev(px * x + params["offset_x"], py * y + params["offset_y"])
-        rhs = math.copysign(1.0, px) * math.copysign(1.0, py) * ev(x, y)
-        return abs(lhs - rhs)
-    if prop is PropertyId.SIGN_PERMUTATION:
-        return abs(ev(-x, y) - ev(x, -y))
-    if prop is PropertyId.SIGN_CANCELLATION:
-        return abs(ev(-x, -y) - ev(x, y))
-    if prop is PropertyId.COMPLEMENT_OF_REFLECTIONS:
-        return abs(ev(-x, y) - (1.0 - ev(x, y)))
-    if prop is PropertyId.REFLECTION_INVARIANCE:
-        return abs(ev(-x, y) - ev(x, y))
-    if prop is PropertyId.SIMILARITY_OF_REFLECTIONS:
-        return abs(ev(-x, x) - 1.0)
-    if prop is PropertyId.WEAK_SIMILARITY_OF_REFLECTIONS:
-        return max(0.0, ev(-x, x) - 1.0)
-    if prop is PropertyId.NON_SIMILARITY_OF_REFLECTIONS:
-        return abs(ev(-x, x))
-    if prop is PropertyId.CONSTANT_SERIES_SIMILARITY:
-        return abs(ev(x, y) - 1.0)
-    if prop is PropertyId.RANGE_BOUNDS:
-        value = ev(x, y)
-        if kind == _ASSOC:
-            return max(0.0, abs(value) - 1.0)
-        if kind == _SIM:
-            return max(0.0, -value, value - 1.0)
-        v = max(0.0, -value)
-        if upper is not None:
-            v = max(v, value - upper)
-        return v
-    raise SpecError(f"unknown property {prop!r}")
+def _trial(prop: PropertyId, ev, kind: str, upper: float | None, x, y, params: dict):
+    """(violation, note) of one trial; a DomainError is an infinite violation."""
+    try:
+        return prop.violation(ev, x, y, params, kind, upper), ""
+    except DomainError as exc:
+        return math.inf, f"raised: {exc}"
 
 
 # --- reports -------------------------------------------------------------------
@@ -307,7 +280,7 @@ class Witness:
             "violation": _json_float(self.violation),
         }
         for key, value in self.params.items():
-            out[key] = list(map(float, value)) if key in ("x", "y") else value
+            out[key] = list(value) if key in ("x", "y") else value
         if self.note:
             out["note"] = self.note
         return out
@@ -389,7 +362,7 @@ class PropertyReport:
 
 def applicable_properties(subject) -> tuple[PropertyId, ...]:
     kind = subject_kind(subject)
-    return tuple(p for p in PropertyId if kind in APPLICABILITY[p])
+    return tuple(p for p in PropertyId if kind in p.kinds)
 
 
 def verify(
@@ -424,49 +397,36 @@ def verify(
     lo = max(lo_req, min_n)
     hi = max(hi_req, lo)
     upper = _upper(subject)
-    prop_order = {p: i for i, p in enumerate(PropertyId)}
-    results = []
-    for prop in props:
-        if kind not in APPLICABILITY[prop]:
-            results.append(PropertyResult(prop, "not-applicable", 0, 0.0))
-            continue
-        worst = 0.0
-        worst_witness: Witness | None = None
-        ran = 0
-        not_applicable = False
+
+    def check(prop: PropertyId) -> PropertyResult:
+        if kind not in prop.kinds:
+            return PropertyResult(prop, "not-applicable", 0, 0.0)
+        worst, witness = 0.0, None
         for t in range(trials):
-            rng = np.random.default_rng([seed, prop_order[prop], t])
+            rng = np.random.default_rng([seed, prop.index, t])
             n = int(exact_n if exact_n is not None else rng.integers(lo, hi + 1))
-            params = _draw_trial(prop, rng, n, _style_for_trial(t))
+            style = _STYLES[t % 10]
+            x = _draw_series(rng, n, style)
+            y = _draw_series(rng, n, style) if prop.inputs == "xy" else None
+            if prop.inputs == "constants":
+                q, r = rng.uniform(-10.0, 10.0, 2)
+                x, y = np.full(n, q), np.full(n, r)
+            params = prop.draw(rng)
             try:
-                v = _violation(prop, ev, kind, params, upper)
+                v, note = _trial(prop, ev, kind, upper, x, y, params)
             except ConstantSeriesError:
-                if prop is PropertyId.CONSTANT_SERIES_SIMILARITY:
-                    not_applicable = True
-                    break
-                raise
-            except DomainError as exc:
-                ran = t + 1
-                worst = math.inf
-                worst_witness = _make_witness(prop, t, params, math.inf, f"raised: {exc}")
+                if prop.inputs != "constants":
+                    raise
+                return PropertyResult(prop, "not-applicable", 0, 0.0)
+            if note or v > worst:
+                series = {"x": x} if y is None else {"x": x, "y": y}
+                inputs = {key: tuple(s.tolist()) for key, s in series.items()}
+                worst, witness = v, Witness(prop, t, {**inputs, **params}, v, note)
+            if note:
                 break
-            ran = t + 1
-            if v > worst:
-                worst = v
-                worst_witness = _make_witness(prop, t, params, v)
-        if not_applicable:
-            results.append(PropertyResult(prop, "not-applicable", 0, 0.0))
-            continue
         status = "fail" if worst > tol else "pass"
-        results.append(
-            PropertyResult(
-                prop,
-                status,
-                ran,
-                worst,
-                worst_witness if status == "fail" else None,
-            )
-        )
+        return PropertyResult(prop, status, t + 1, worst, witness if status == "fail" else None)
+
     return PropertyReport(
         subject=describe_subject(subject),
         kind=kind,
@@ -474,27 +434,18 @@ def verify(
         trials=trials,
         n_range=(lo, hi),
         tol=tol,
-        results=tuple(results),
+        results=tuple(check(prop) for prop in props),
     )
-
-
-def _make_witness(prop: PropertyId, t: int, params: dict, violation: float, note: str = "") -> Witness:
-    stored = {}
-    for key, value in params.items():
-        stored[key] = tuple(map(float, value)) if key in ("x", "y") else value
-    return Witness(prop, t, stored, violation, note)
 
 
 def replay(subject, witness: Witness) -> float:
-    """Recompute the witness violation from its stored inputs alone."""
-    ev = _evaluator(subject)
-    return _violation(
-        witness.property,
-        ev,
-        subject_kind(subject),
-        dict(witness.params),
-        _upper(subject),
-    )
+    """Recompute the witness violation from its stored inputs alone; inf when
+    the subject raises DomainError, as `verify` records it."""
+    params = dict(witness.params)
+    x = np.asarray(params.pop("x"), dtype=np.float64)
+    y = np.asarray(params.pop("y"), dtype=np.float64) if "y" in params else None
+    kind = subject_kind(subject)
+    return _trial(witness.property, _evaluator(subject), kind, _upper(subject), x, y, params)[0]
 
 
 # --- built-in coverage suite ------------------------------------------------------

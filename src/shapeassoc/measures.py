@@ -333,6 +333,8 @@ class SimilarityComplement(MeasureSpec):
 def _cosine(fx: np.ndarray, fy: np.ndarray) -> float:
     denom = np.sqrt(np.dot(fx, fx) * np.dot(fy, fy))
     if denom == 0.0:
+        if fx.any() and fy.any():
+            raise DomainError("norm product underflows to 0; the values are too small for float64")
         raise ConstantSeriesError("cosine is undefined when a standardized series is zero")
     # an overflowing norm product would turn the ratio into a silent 0.0
     if not math.isfinite(denom):

@@ -84,7 +84,10 @@ class CenterScale(Standardization):
                 "cannot scale a constant series; its spread is zero"
             )
         centered = v - central_values(self.center, v)
-        return centered / scale_values(self.spread, v)
+        spread = scale_values(self.spread, v)
+        if spread == 0.0:
+            raise DomainError("spread underflows to 0; the values are too small for float64")
+        return centered / spread
 
 
 def standardize_values(spec: Standardization, v: np.ndarray) -> np.ndarray:

@@ -1,9 +1,14 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from shapeassoc import (
     AbsSimilarity,
+    ArithmeticMean,
     Center,
+    ComplementDecay,
     DissimilaritySpec,
     GeneralizedMidrangeCorrelation,
     Min,
@@ -96,6 +101,13 @@ class TestVerify:
         witness = report.result(PropertyId.INVERSE_RELATIONSHIP).witness
         assert replay(MIN_CENTER_BRANCH, witness) == witness.violation
 
+    def test_raised_witness_replays_to_inf(self):
+        subject = SimilarityRecipe(DissimilaritySpec(2.0, Center(ArithmeticMean())), ComplementDecay())
+        report = verify(subject, (PropertyId.SYMMETRY,), trials=50, seed=0)
+        witness = report.result(PropertyId.SYMMETRY).witness
+        assert witness.violation == math.inf and witness.note.startswith("raised: ")
+        assert replay(subject, witness) == witness.violation
+
     def test_inapplicable_property_marked_not_applicable(self):
         report = verify(D2_UNIT, (PropertyId.ASSOC_REFLEXIVITY,), trials=10)
         assert report.result(PropertyId.ASSOC_REFLEXIVITY).status == "not-applicable"
@@ -153,12 +165,26 @@ class TestCoverage:
             report = verify(case.subject, (case.property,), trials=120, seed=3)
             assert report.result(case.property).status == case.expect, case.label
 
+    def test_every_failing_witness_replays(self):
+        for case in coverage_suite():
+            if case.expect == "fail":
+                report = verify(case.subject, (case.property,), trials=120, seed=3)
+                witness = report.result(case.property).witness
+                assert replay(case.subject, witness) == witness.violation, case.label
+
     def test_every_property_has_a_pass_and_a_fail_case(self):
         suite = coverage_suite()
         for prop in PropertyId:
             expects = {c.expect for c in suite if c.property is prop}
             assert "pass" in expects, prop
             assert "fail" in expects, prop
+
+
+class TestDocs:
+    def test_readme_lists_every_property(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        missing = [p.value for p in PropertyId if f"`{p.value}`" not in readme]
+        assert not missing
 
 
 class TestImplications:

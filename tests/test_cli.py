@@ -303,6 +303,35 @@ class TestMalformedConfig:
             assert code == 1
             assert err.startswith("shapeassoc: error: series 'b':") and cause in err, err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("matrix", "--measure", "pearson"),
+            ("matrix", "--measure", "cosine"),
+            ("standardize", "--spec", "unit-mean"),
+        ],
+    )
+    def test_subnormal_values_report_underflow(self, tmp_path, capsys, command):
+        p = tmp_path / "tiny.csv"
+        p.write_text(SUBNORMAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(*command, "--input", str(p), "--delimiter", "comma", "--ids")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "underflow" in err, err
+        assert "('a', 'b')" in err or "series 'a'" in err, err
+
+    def test_subnormal_values_center_without_error(self, tmp_path, capsys):
+        p = tmp_path / "tiny.csv"
+        p.write_text(SUBNORMAL)
+        code = run("standardize", "--input", str(p), "--delimiter", "comma", "--ids", "--spec", "center-mean")
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("a,1.25e-310,")
+
+
+SUBNORMAL = "a,1e-310,-1e-310,2e-310,-3e-310\nb,-2e-310,1e-310,3e-310,1e-310\n"
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
