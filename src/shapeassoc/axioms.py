@@ -394,8 +394,8 @@ def verify(
                 raise SpecError(f"not a PropertyId: {p!r}")
     ev = _evaluator(subject)
     min_n, exact_n = subject.bounds
-    lo = max(lo_req, min_n)
-    hi = max(hi_req, lo)
+    lo = exact_n or max(lo_req, min_n)
+    hi = exact_n or max(hi_req, lo)
     upper = _upper(subject)
 
     def check(prop: PropertyId) -> PropertyResult:

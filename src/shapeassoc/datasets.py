@@ -1,7 +1,9 @@
 """Reading and writing series sets, matrices, and reports.
 
-Text formats are kept round-trip safe: floats are written with repr, which
-parses back to the identical double.
+One reader parses series tables and matrix CSV, and one writer writes both.
+Floats are written with repr, which parses back to the identical double, and
+ids the reader would alter are refused, so every CSV written reads back bit
+for bit; under orientation "auto", numeric ids need no more series than samples.
 """
 
 from __future__ import annotations
@@ -18,11 +20,48 @@ _DELIMITERS = {"comma": ",", "tab": "\t", "whitespace": None}
 _ORIENTATIONS = ("rows", "columns", "auto")
 
 
-def _split(line: str, delimiter: str) -> list[str]:
+def _rows(text: str, delimiter: str, source: str) -> list[tuple[int, list[str]]]:
+    """(file line number, fields) of each non-blank line, all as wide as the first."""
     sep = _DELIMITERS[delimiter]
-    if sep is None:
-        return line.split()
-    return [cell.strip() for cell in line.split(sep)]
+    rows = [
+        (ln, raw.split() if sep is None else [cell.strip() for cell in raw.split(sep)])
+        for ln, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip()
+    ]
+    if not rows:
+        raise DatasetError(f"{source}: no data lines")
+    width = len(rows[0][1])
+    for ln, fields in rows:
+        if len(fields) != width:
+            raise DatasetError(f"{source}: line {ln} has {len(fields)} fields, expected {width}")
+    return rows
+
+
+def _floats(rows: list[tuple[int, list[str]]], first: int, source: str) -> np.ndarray:
+    """Fields `first` (1-based) onward of each row as a float64 matrix; a field
+    that is not a finite number is an error naming its line and field."""
+    try:
+        data = np.array([list(map(float, fields[first - 1 :])) for _, fields in rows])
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        for ln, fields in rows:  # name the first bad field
+            for col, token in enumerate(fields[first - 1 :], start=first):
+                try:
+                    bad = "" if math.isfinite(float(token)) else f"non-finite value {token!r}"
+                except ValueError:
+                    bad = f"cannot parse {token!r} as a number"
+                if bad:
+                    raise DatasetError(f"{source}: line {ln}, field {col}: {bad}")
+    return data
+
+
+def _is_number(token: str) -> bool:
+    try:
+        _floats([(1, [token])], 1, "")
+    except DatasetError:
+        return False
+    return True
 
 
 def parse_dataset_text(
@@ -34,66 +73,38 @@ def parse_dataset_text(
 ) -> SeriesSet:
     """Parse a rectangular numeric table into a series set.
 
-    Orientation "auto" treats rows as series when there are fewer rows than
-    columns (series are usually longer than the collection is wide);
-    otherwise columns are series. With has_ids, the leading column (row
-    orientation) or leading row (column orientation) holds series ids.
+    With has_ids, the leading field of each line (row orientation) or the
+    leading line (column orientation) holds series ids. Orientation "auto"
+    picks rows when line 1, field 2 is a number and line 2, field 1 is not,
+    columns in the reverse case, and otherwise (no ids, numeric ids, one
+    line) rows when there are fewer lines than fields: series are usually
+    longer than the collection is wide.
     """
     if delimiter not in _DELIMITERS:
         raise SpecError(f"unknown delimiter {delimiter!r}; expected one of {sorted(_DELIMITERS)}")
     if orientation not in _ORIENTATIONS:
         raise SpecError(f"unknown orientation {orientation!r}; expected one of {_ORIENTATIONS}")
-    table: list[list[str]] = []
-    line_numbers: list[int] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        table.append(_split(raw, delimiter))
-        line_numbers.append(ln)
-    if not table:
-        raise DatasetError(f"{source}: no data lines")
-    width = len(table[0])
-    for row, ln in zip(table, line_numbers):
-        if len(row) != width:
-            raise DatasetError(
-                f"{source}: line {ln} has {len(row)} fields, expected {width}"
-            )
+    rows = _rows(text, delimiter, source)
     if orientation == "auto":
-        orientation = "rows" if len(table) < width else "columns"
-
+        orientation = "rows" if len(rows) < len(rows[0][1]) else "columns"
+        if has_ids and len(rows) > 1 and len(rows[0][1]) > 1:
+            line1_field2, line2_field1 = _is_number(rows[0][1][1]), _is_number(rows[1][1][0])
+            if line1_field2 != line2_field1:
+                orientation = "rows" if line1_field2 else "columns"
     ids: list[str] | None = None
+    # field numbers count from the start of the line, id field included
+    first = 1
     if has_ids:
         if orientation == "rows":
-            ids = [row[0] for row in table]
-            table = [row[1:] for row in table]
+            ids = [fields[0] for _, fields in rows]
+            first = 2
         else:
-            ids = list(table[0])
-            table = table[1:]
-            line_numbers = line_numbers[1:]
-        if not table or not table[0]:
+            ids = rows[0][1]
+            rows = rows[1:]
+        if not rows or len(rows[0][1]) < first:
             raise DatasetError(f"{source}: no numeric data after the id field")
-
-    def parse_cell(token: str, ln: int, col: int) -> float:
-        try:
-            value = float(token)
-        except ValueError:
-            raise DatasetError(
-                f"{source}: line {ln}, field {col}: cannot parse {token!r} as a number"
-            ) from None
-        if not math.isfinite(value):
-            raise DatasetError(f"{source}: line {ln}, field {col}: non-finite value {token!r}")
-        return value
-
-    # field numbers count from the start of the line, id field included
-    first = 2 if has_ids and orientation == "rows" else 1
-    values = [
-        [parse_cell(tok, ln, col) for col, tok in enumerate(row, start=first)]
-        for row, ln in zip(table, line_numbers)
-    ]
-    data = np.asarray(values, dtype=np.float64)
-    if orientation == "columns":
-        data = data.T
-    return load_set(data, ids)
+    data = _floats(rows, first, source)
+    return load_set(data.T if orientation == "columns" else data, ids)
 
 
 def parse_dataset(
@@ -108,52 +119,39 @@ def parse_dataset(
     )
 
 
+def _csv(labelled_rows) -> str:
+    """A comma line per (id, float vector) pair, refusing an id the reader would
+    not give back: one with a comma, a line break or whitespace at either end."""
+    lines = []
+    for label, values in labelled_rows:
+        if "," in label or label != label.strip() or len(label.splitlines()) != 1:
+            raise DatasetError(f"id {label!r} cannot be written: comma, line break or outer whitespace")
+        lines.append(",".join([label, *map(repr, values.tolist())]) + "\n")
+    return "".join(lines)
+
+
 def format_series_csv(data: SeriesSet) -> str:
     """Comma layout, one series per row, id first. Full float precision."""
-    lines = []
-    for s in data:
-        lines.append(",".join([s.id] + [repr(float(v)) for v in s.values]))
-    return "\n".join(lines) + "\n"
+    return _csv((s.id, s.values) for s in data)
 
 
 def format_matrix_csv(ids, values) -> str:
     """Square matrix with an id header row and id-labelled rows."""
     ids = list(ids)
-    values = np.asarray(values, dtype=np.float64)
-    lines = [",".join(["id"] + ids)]
-    for label, row in zip(ids, values):
-        lines.append(",".join([label] + [repr(float(v)) for v in row]))
-    return "\n".join(lines) + "\n"
+    return ",".join(["id", *ids]) + "\n" + _csv(zip(ids, np.asarray(values, dtype=np.float64)))
 
 
 def parse_matrix_csv_text(text: str, source: str = "<string>") -> tuple[tuple[str, ...], np.ndarray]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DatasetError(f"{source}: no data lines")
-    header = [cell.strip() for cell in lines[0].split(",")]
+    (_, header), *body = _rows(text, "comma", source)
     ids = tuple(header[1:])
     if not ids:
         raise DatasetError(f"{source}: header row has no ids")
-    if len(lines) - 1 != len(ids):
-        raise DatasetError(
-            f"{source}: {len(ids)} ids in header but {len(lines) - 1} data rows"
-        )
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != len(ids) + 1:
-            raise DatasetError(
-                f"{source}: line {ln} has {len(cells)} fields, expected {len(ids) + 1}"
-            )
-        if cells[0] != ids[ln - 2]:
-            raise DatasetError(
-                f"{source}: line {ln} is labelled {cells[0]!r}, expected {ids[ln - 2]!r}"
-            )
-        try:
-            rows.append([float(tok) for tok in cells[1:]])
-        except ValueError:
-            raise DatasetError(f"{source}: line {ln}: non-numeric matrix entry") from None
-    return ids, np.asarray(rows, dtype=np.float64)
+    if len(body) != len(ids):
+        raise DatasetError(f"{source}: {len(ids)} ids in header but {len(body)} data rows")
+    for (ln, fields), expected in zip(body, ids):
+        if fields[0] != expected:
+            raise DatasetError(f"{source}: line {ln} is labelled {fields[0]!r}, expected {expected!r}")
+    return ids, _floats(body, 2, source)
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -4,8 +4,8 @@ Every central estimate maps a series to a single number lying between its
 minimum and maximum. Estimates are small frozen spec objects; each class
 carries its JSON tag, its evaluation (`evaluate`), its length bounds and the
 algebraic traits that standardizations and measures rely on. `central` and
-`scale` evaluate them. `minkowski_norm` is the one order-r norm, shared by
-MinkowskiDeviation and the Minkowski dissimilarity of `measures`.
+`scale` evaluate them. `minkowski_norm` is the one order-r norm, used by
+MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of `measures`.
 
 - translation additive:  E(x + q) = E(x) + q
 - scale proportional:    E(p * x) = p * E(x) for p > 0
@@ -290,12 +290,13 @@ def central(spec: CentralEstimate, x: TimeSeries) -> float:
 
 
 def scale_values(spec: ScaleEstimate, v: np.ndarray) -> float:
-    """Evaluate a scale estimate on a raw value vector.
+    """Evaluate a scale estimate on a raw value vector."""
+    return finite_scale(spec, spec.evaluate(v))
 
-    Raises DomainError when the scale overflows to inf (or is NaN) rather
-    than let a standardization divide by it and return zeros.
-    """
-    s = spec.evaluate(v)
+
+def finite_scale(spec: ScaleEstimate, s: float) -> float:
+    """s, a value of spec; DomainError when it overflowed to inf (or is NaN),
+    rather than let a standardization divide by it and return zeros."""
     if not math.isfinite(s):
         raise DomainError(f"{spec.tag} scale is not finite ({s}); the values overflow float64")
     return s

@@ -160,9 +160,14 @@ def grow(spec: GrowthTransform, d: float) -> float:
 # --- dissimilarity and similarity evaluation ---------------------------------
 
 
-def _check_pair(x: TimeSeries, y: TimeSeries) -> None:
-    if x.n != y.n:
-        raise ShapeError(f"series {x.id!r} (n={x.n}) and {y.id!r} (n={y.n}) differ in length")
+def _on_pair(evaluate, spec, x: TimeSeries, y: TimeSeries) -> float:
+    """evaluate(spec, x.values, y.values); an error names the pair."""
+    try:
+        if x.n != y.n:
+            raise ShapeError(f"series {x.id!r} (n={x.n}) and {y.id!r} (n={y.n}) differ in length")
+        return evaluate(spec, x.values, y.values)
+    except (ConstantSeriesError, DomainError, SpecError, ShapeError) as exc:
+        raise type(exc)(f"pair ({x.id!r}, {y.id!r}): {exc}") from exc
 
 
 def dissimilarity_values(spec: DissimilaritySpec, vx: np.ndarray, vy: np.ndarray) -> float:
@@ -174,8 +179,7 @@ def dissimilarity_values(spec: DissimilaritySpec, vx: np.ndarray, vy: np.ndarray
 
 def dissimilarity(spec: DissimilaritySpec, x: TimeSeries, y: TimeSeries) -> float:
     """D(x, y) >= 0, zero exactly for identically standardized series."""
-    _check_pair(x, y)
-    return dissimilarity_values(spec, x.values, y.values)
+    return _on_pair(dissimilarity_values, spec, x, y)
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,7 @@ class SimilarityRecipe:
 
 
 def similarity(spec: SimilarityRecipe, x: TimeSeries, y: TimeSeries) -> float:
-    _check_pair(x, y)
-    return spec.evaluate(x.values, y.values)
+    return _on_pair(SimilarityRecipe.evaluate, spec, x, y)
 
 
 # --- association constructors -------------------------------------------------
@@ -402,8 +405,7 @@ def associate_values(spec: MeasureSpec, vx: np.ndarray, vy: np.ndarray) -> float
 def associate(spec: MeasureSpec, x: TimeSeries, y: TimeSeries) -> float:
     """Signed association in [-1, 1]; positive for similar shapes, negative
     for reflected ones."""
-    _check_pair(x, y)
-    return associate_values(spec, x.values, y.values)
+    return _on_pair(associate_values, spec, x, y)
 
 
 def abs_similarity(spec: MeasureSpec, x: TimeSeries, y: TimeSeries) -> float:
@@ -425,14 +427,7 @@ def association_matrix(spec: MeasureSpec, data: SeriesSet) -> AssociationMatrix:
     out = np.ones((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            try:
-                a = associate(spec, data[i], data[j])
-            except (ConstantSeriesError, DomainError, SpecError, ShapeError) as exc:
-                raise type(exc)(
-                    f"pair ({data[i].id!r}, {data[j].id!r}): {exc}"
-                ) from exc
-            out[i, j] = a
-            out[j, i] = a
+            out[i, j] = out[j, i] = associate(spec, data[i], data[j])
     out.flags.writeable = False
     return AssociationMatrix(data.ids, out)
 

@@ -30,6 +30,8 @@ from .estimates import (
     MinkowskiDeviation,
     ScaleEstimate,
     central_values,
+    finite_scale,
+    minkowski_norm,
     scale_values,
 )
 from .series import TimeSeries
@@ -84,7 +86,11 @@ class CenterScale(Standardization):
                 "cannot scale a constant series; its spread is zero"
             )
         centered = v - central_values(self.center, v)
-        spread = scale_values(self.spread, v)
+        r = self.normality_order
+        if r is None:
+            spread = scale_values(self.spread, v)
+        else:  # the deviation around the center just subtracted: the norm of `centered`
+            spread = finite_scale(self.spread, minkowski_norm(centered, r))
         if spread == 0.0:
             raise DomainError("spread underflows to 0; the values are too small for float64")
         return centered / spread

@@ -8,17 +8,20 @@ from shapeassoc import (
     AbsSimilarity,
     ArithmeticMean,
     Center,
+    CenterScale,
     ComplementDecay,
     DissimilaritySpec,
     GeneralizedMidrangeCorrelation,
     Min,
     MinkowskiBranch,
+    MinkowskiDeviation,
     Pearson,
     PropertyId,
     RationalDecay,
     SimilarityBranch,
     SimilarityRecipe,
     SpecError,
+    WeightedMean,
     applicable_properties,
     coverage_suite,
     preset,
@@ -148,6 +151,14 @@ class TestVerify:
             n_range=(3, 10),
         )
         assert report.n_range[0] == 5
+        assert report.passed()
+
+    def test_fixed_length_subject_reports_its_length(self):
+        w = WeightedMean((0.2,) * 5)
+        subject = MinkowskiBranch(DissimilaritySpec(2.0, CenterScale(w, MinkowskiDeviation(2.0, w))))
+        report = verify(subject, (PropertyId.SYMMETRY,), trials=5)
+        assert report.n_range == (5, 5)
+        assert "n_range=5..5" in report.to_text()
         assert report.passed()
 
     def test_bad_arguments(self):

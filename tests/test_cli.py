@@ -45,6 +45,14 @@ class TestStandardize:
         assert capsys.readouterr().out == ""
         assert out_file.read_text().startswith("a,")
 
+    def test_id_the_output_cannot_hold_is_refused(self, tmp_path, capsys):
+        p = tmp_path / "spaced.txt"
+        p.write_text("a,b 1 2 3\nc 3 2 1\n")
+        code = run("standardize", "--input", str(p), "--ids", "--spec", "center-mean")
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "'a,b'" in captured.err
+
 
 class TestAssoc:
     def test_pearson_pair(self, dataset, capsys):
@@ -80,6 +88,20 @@ class TestAssoc:
         assert code == 1
         assert "zzz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows", ["a,1,2,3\nb,4,4,4\n", "a,1e200,-1e200,3e200\nb,2e200,3e200,-1e200\n"], ids=["constant", "huge"]
+    )
+    def test_errors_name_the_pair(self, tmp_path, rows, capsys):
+        p = tmp_path / "pair.csv"
+        p.write_text(rows)
+        code = run(
+            "assoc", "--input", str(p), "--delimiter", "comma", "--ids",
+            "--measure", "pearson", "--x", "a", "--y", "b",
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("shapeassoc: error: pair ('a', 'b'): ") and err.count("\n") == 1, err
+
 
 class TestMatrix:
     def test_csv_output(self, dataset, tmp_path):
@@ -95,6 +117,17 @@ class TestMatrix:
         assert row_a[0] == "a"
         assert float(row_a[1]) == 1.0
         assert float(row_a[3]) == -1.0
+
+    def test_wide_file_reads_under_default_orientation(self, tmp_path, capsys):
+        # more series than samples: the size rule alone would read columns
+        p = tmp_path / "wide.csv"
+        p.write_text("a,1,2,4\nb,2,1,3\nc,5,4,1\nd,1,3,2\n")
+        argv = ("matrix", "--input", str(p), "--delimiter", "comma", "--ids", "--measure", "pearson")
+        assert run(*argv) == 0
+        auto = capsys.readouterr().out
+        assert run(*argv, "--orientation", "rows") == 0
+        assert capsys.readouterr().out == auto
+        assert auto.startswith("id,a,b,c,d\n")
 
 
 class TestCluster:
@@ -122,6 +155,13 @@ class TestCluster:
         payload = json.loads(capsys.readouterr().out)
         assert payload["leaves"] == ["a", "b", "c"]
         assert len(payload["merges"]) == 2
+
+    def test_non_finite_cell_names_its_position(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("id,a,b\na,1.0,nan\nb,nan,1.0\n")
+        assert run("cluster", "--matrix", str(p)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 2, field 3: non-finite" in err, err
 
     def test_missing_matrix_file(self, tmp_path, capsys):
         code = run("cluster", "--matrix", str(tmp_path / "none.csv"))

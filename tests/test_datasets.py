@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapeassoc import (
     DatasetError,
@@ -97,15 +99,74 @@ class TestParsing:
             parse_dataset(p)
 
 
+def _column_csv(data) -> str:
+    """The column layout: an id header line, then one line per sample."""
+    lines = [",".join(data.ids)]
+    for i in range(data.n):
+        lines.append(",".join(repr(float(s.values[i])) for s in data))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_set(again, data):
+    assert again.ids == data.ids
+    for sid in data.ids:
+        assert again[sid].values.tobytes() == data[sid].values.tobytes()
+
+
+def _writable(label: str) -> bool:
+    """The reader gives an id back unchanged: no comma, no line break, no
+    whitespace at either end."""
+    return "," not in label and label == label.strip() and len(label.splitlines()) == 1
+
+
+csv_ids = st.lists(
+    st.text(st.sampled_from(", \n\r\tab") | st.characters(), min_size=1, max_size=6),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+def _float_rows(k: int, n: int):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.lists(st.lists(finite, min_size=n, max_size=n), min_size=k, max_size=k)
+
+
 class TestSeriesCsv:
-    def test_round_trip_is_exact(self):
+    @pytest.mark.parametrize(
+        "layout, k, n",
+        [
+            ("rows", 4, 9),
+            ("rows", 9, 9),
+            ("rows", 20, 9),
+            ("rows", 1000, 365),
+            ("columns", 4, 9),
+            ("columns", 20, 9),
+        ],
+        ids=["k-lt-n", "k-eq-n", "k-gt-n", "k1000-n365", "columns-k-lt-n", "columns-k-gt-n"],
+    )
+    def test_round_trip_is_exact(self, layout, k, n):
         rng = np.random.default_rng(71)
-        data = load_set([random_values(rng, 9) for _ in range(4)])
-        text = format_series_csv(data)
-        again = parse_dataset_text(text, delimiter="comma", orientation="rows", has_ids=True)
-        assert again.ids == data.ids
-        for sid in data.ids:
-            assert np.array_equal(again[sid].values, data[sid].values)
+        data = load_set([random_values(rng, n) for _ in range(k)])
+        text = format_series_csv(data) if layout == "rows" else _column_csv(data)
+        again = parse_dataset_text(text, delimiter="comma", orientation="auto", has_ids=True)
+        _assert_same_set(again, data)
+
+    @given(csv_ids, st.integers(2, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_hypothesis(self, ids, n, draws):
+        rows = draws.draw(_float_rows(len(ids), n))
+        data = load_set(rows, ids)
+        if not all(map(_writable, ids)):
+            with pytest.raises(DatasetError, match="cannot be written"):
+                format_series_csv(data)
+            return
+        _assert_same_set(parse_dataset_text(format_series_csv(data), "comma", "rows", True), data)
+
+    def test_id_with_a_comma_is_refused(self):
+        data = load_set([(1.0, 2.0), (3.0, 5.0)], ids=["a,b", "c"])
+        with pytest.raises(DatasetError, match="'a,b'"):
+            format_series_csv(data)
 
 
 class TestMatrixCsv:
@@ -134,3 +195,34 @@ class TestMatrixCsv:
         text = "id,a,b\na,1.0,0.5\nWRONG,0.5,1.0\n"
         with pytest.raises(DatasetError):
             parse_matrix_csv_text(text)
+
+    @given(csv_ids, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_hypothesis(self, ids, draws):
+        rows = draws.draw(_float_rows(len(ids), len(ids)))
+        values = np.array(rows, dtype=np.float64)
+        if not all(map(_writable, ids)):
+            with pytest.raises(DatasetError, match="cannot be written"):
+                format_matrix_csv(ids, values)
+            return
+        again_ids, again = parse_matrix_csv_text(format_matrix_csv(ids, values))
+        assert again_ids == tuple(ids)
+        assert again.tobytes() == values.tobytes()
+
+    def test_blank_lines_keep_file_line_numbers(self):
+        text = "id,a,b\n\na,1.0,0.5\n\n\nb,0.5,oops\n"
+        with pytest.raises(DatasetError, match="line 6, field 3: cannot parse 'oops'"):
+            parse_matrix_csv_text(text)
+        with pytest.raises(DatasetError, match="line 5 has 2 fields, expected 3"):
+            parse_matrix_csv_text("id,a,b\n\na,1.0,0.5\n\nb,0.5\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_position(self, token):
+        text = f"id,a,b\na,1.0,{token}\nb,0.5,1.0\n"
+        with pytest.raises(DatasetError, match="line 2, field 3: non-finite"):
+            parse_matrix_csv_text(text)
+
+    def test_id_with_a_comma_is_refused(self):
+        for ids in (["a,b", "c"], ["a", " c"], ["a", "c\n"], ["a", "c\rd"]):
+            with pytest.raises(DatasetError, match="cannot be written"):
+                format_matrix_csv(ids, np.eye(2))

@@ -279,6 +279,21 @@ class TestAssociate:
         with pytest.raises(ShapeError):
             associate(Pearson(), ts([1, 2, 3]), ts([1, 2], "y"))
 
+    @pytest.mark.parametrize(
+        "evaluate, spec",
+        [
+            (associate, Pearson()),
+            (dissimilarity, D2_UNIT),
+            (similarity, SimilarityRecipe(D2_UNIT, RationalDecay(1.0))),
+        ],
+    )
+    def test_errors_name_the_pair(self, evaluate, spec):
+        x = ts([1, 2, 4])
+        with pytest.raises(ConstantSeriesError, match=r"^pair \('x', 'flat'\): "):
+            evaluate(spec, x, constant_series(3.0, 3, "flat"))
+        with pytest.raises(ShapeError, match=r"^pair \('x', 'short'\): "):
+            evaluate(spec, x, ts([1, 2], "short"))
+
 
 class TestCrossRouteEquivalences:
     def test_contrast_equals_pearson(self):

@@ -19,6 +19,7 @@ from shapeassoc import (
     preset,
     standardize,
 )
+from shapeassoc.estimates import central_values, scale_values
 from shapeassoc.standardize import standardize_values
 
 from helpers import random_values, ts
@@ -207,3 +208,24 @@ class TestErrors:
     def test_near_constant_is_allowed(self):
         out = standardize(preset("unit-mean"), ts([1.0, 1.0 + 1e-12, 1.0]))
         assert np.isfinite(out.values).all()
+
+
+class TestCenterEvaluations:
+    @pytest.mark.parametrize(
+        "spec, calls",
+        [
+            (preset("unit-mean"), 1),
+            (CenterScale(Median(), MinkowskiDeviation(1.0, Median())), 1),
+            (CenterScale(ArithmeticMean(), MinkowskiDeviation(2.0, Median())), 2),
+        ],
+    )
+    def test_a_normal_spread_reuses_the_center(self, spec, calls, monkeypatch):
+        v = np.array([1.0, 4.0, 2.0, 8.0, -3.5])
+        expected = (v - central_values(spec.center, v)) / scale_values(spec.spread, v)
+        counted = []
+        for cls in (ArithmeticMean, Median):
+            evaluate = cls.evaluate
+            monkeypatch.setattr(cls, "evaluate", lambda self, v, f=evaluate: counted.append(1) or f(self, v))
+        out = standardize_values(spec, v)
+        assert len(counted) == calls
+        assert np.array_equal(out, expected)
