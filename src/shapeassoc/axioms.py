@@ -33,6 +33,7 @@ from .measures import (
     associate_values,
     dissimilarity_values,
 )
+from .series import is_constant_values
 
 
 _ASSOC = "association"
@@ -245,7 +246,7 @@ def _draw_series(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
     else:  # alternating
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         v = signs * rng.uniform(0.5, 5.0, n)
-    if np.all(v == v[0]):
+    if is_constant_values(v):
         # probability-zero fallback; keep the draw non-constant
         v = v.copy()
         v[0] += max(1e-6, abs(v[0]) * 1e-6)

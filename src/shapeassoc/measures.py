@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, ShapeError, SpecError
 from .estimates import GeneralizedMidrange, minkowski_norm
-from .series import SeriesSet, TimeSeries, is_constant
+from .series import SeriesSet, TimeSeries, is_constant, is_constant_values
 from .standardize import Center, Standardization, standardize_values
 
 _BRANCH_TIE_TOL = 1e-12
@@ -334,7 +334,8 @@ class SimilarityComplement(MeasureSpec):
 
 
 def _cosine(fx: np.ndarray, fy: np.ndarray) -> float:
-    denom = np.sqrt(np.dot(fx, fx) * np.dot(fy, fy))
+    # Python floats and math.sqrt: correctly rounded like numpy's, without the scalar overhead
+    denom = math.sqrt(float(np.dot(fx, fx)) * float(np.dot(fy, fy)))
     if denom == 0.0:
         if fx.any() and fy.any():
             raise DomainError("norm product underflows to 0; the values are too small for float64")
@@ -342,7 +343,7 @@ def _cosine(fx: np.ndarray, fy: np.ndarray) -> float:
     # an overflowing norm product would turn the ratio into a silent 0.0
     if not math.isfinite(denom):
         raise DomainError(f"norm product is not finite ({denom}); the values overflow float64")
-    return float(np.dot(fx, fy) / denom)
+    return float(np.dot(fx, fy)) / denom
 
 
 @dataclass(frozen=True)
@@ -353,7 +354,8 @@ class Pearson(MeasureSpec):
     tag = "pearson"
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
-        return _cosine(vx - vx.mean(), vy - vy.mean())
+        # sum / size is ndarray.mean bit for bit, without its Python wrapper
+        return _cosine(vx - vx.sum() / vx.size, vy - vy.sum() / vy.size)
 
 
 @dataclass(frozen=True)
@@ -394,7 +396,7 @@ class GeneralizedMidrangeCorrelation(MeasureSpec):
 
 
 def associate_values(spec: MeasureSpec, vx: np.ndarray, vy: np.ndarray) -> float:
-    if np.all(vx == vx[0]) or np.all(vy == vy[0]):
+    if is_constant_values(vx) or is_constant_values(vy):
         raise ConstantSeriesError("association is undefined for constant series")
     a = spec.evaluate(vx, vy)
     if not math.isfinite(a):
@@ -423,11 +425,12 @@ class AssociationMatrix:
 
 def association_matrix(spec: MeasureSpec, data: SeriesSet) -> AssociationMatrix:
     """Pairwise associations; symmetric by construction, diagonal exactly 1."""
-    k = len(data)
+    series = data.series
+    k = len(series)
     out = np.ones((k, k))
-    for i in range(k):
+    for i, x in enumerate(series):
         for j in range(i + 1, k):
-            out[i, j] = out[j, i] = associate(spec, data[i], data[j])
+            out[i, j] = out[j, i] = associate(spec, x, series[j])
     out.flags.writeable = False
     return AssociationMatrix(data.ids, out)
 

@@ -64,13 +64,18 @@ def constant_series(value: float, n: int, id: str = "const") -> TimeSeries:
     return TimeSeries(id, np.full(n, float(value)))
 
 
+def is_constant_values(v: np.ndarray) -> bool:
+    """True when every value equals the first, by exact comparison."""
+    return bool(v[0] == v[-1] and (v == v[0]).all())
+
+
 def is_constant(x: TimeSeries) -> bool:
     """True when every sample equals the first, by exact comparison.
 
     Near-constant series are deliberately not constant: any spread, however
     small, carries shape information.
     """
-    return bool(np.all(x.values == x.values[0]))
+    return is_constant_values(x.values)
 
 
 @dataclass(frozen=True, eq=False)

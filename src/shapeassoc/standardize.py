@@ -34,7 +34,7 @@ from .estimates import (
     minkowski_norm,
     scale_values,
 )
-from .series import TimeSeries
+from .series import TimeSeries, is_constant_values
 
 
 class Standardization:
@@ -69,11 +69,11 @@ class CenterScale(Standardization):
     spread: ScaleEstimate
     odd = property(lambda self: self.center.odd and self.spread.even)
 
-    @property
-    def normality_order(self) -> float | None:
-        """r when the spread is the order-r Minkowski deviation of the same center."""
+    def __post_init__(self):
+        # r when the spread is the order-r Minkowski deviation of the same center
         s = self.spread
-        return s.r if isinstance(s, MinkowskiDeviation) and s.center == self.center else None
+        r = s.r if isinstance(s, MinkowskiDeviation) and s.center == self.center else None
+        object.__setattr__(self, "normality_order", r)
 
     @property
     def bounds(self) -> tuple[int, int | None]:
@@ -81,10 +81,8 @@ class CenterScale(Standardization):
         return max(lo, lo2), exact if exact is not None else exact2
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
-        if np.all(v == v[0]):
-            raise ConstantSeriesError(
-                "cannot scale a constant series; its spread is zero"
-            )
+        if is_constant_values(v):
+            raise ConstantSeriesError("cannot scale a constant series; its spread is zero")
         centered = v - central_values(self.center, v)
         r = self.normality_order
         if r is None:

@@ -41,7 +41,7 @@ from shapeassoc import (
     similarity,
     standardize,
 )
-from shapeassoc.estimates import scale_values
+from shapeassoc.estimates import central_values, scale_values
 from shapeassoc.measures import (
     associate_values,
     constant_ids,
@@ -462,3 +462,108 @@ class TestOverflow:
         assert associate(Pearson(), ts(x), ts(x[::-1])) == pytest.approx(
             float(np.corrcoef(x, x[::-1])[0, 1]), abs=1e-12
         )
+
+
+# --- the pre-change formulas, kept as the oracle of the faster ones ------------
+
+
+def _ref_is_constant(v):
+    return bool(np.all(v == v[0]))
+
+
+def _ref_cosine(fx, fy):
+    denom = np.sqrt(np.dot(fx, fx) * np.dot(fy, fy))
+    if denom == 0.0:
+        if fx.any() and fy.any():
+            raise DomainError("norm product underflows to 0; the values are too small for float64")
+        raise ConstantSeriesError("cosine is undefined when a standardized series is zero")
+    if not math.isfinite(denom):
+        raise DomainError(f"norm product is not finite ({denom}); the values overflow float64")
+    return float(np.dot(fx, fy) / denom)
+
+
+def _ref_center_mean(v):
+    return v - v.mean()
+
+
+def _ref_unit_mean(v):
+    if _ref_is_constant(v):
+        raise ConstantSeriesError("cannot scale a constant series; its spread is zero")
+    centered = v - float(v.mean())
+    a = np.abs(centered)
+    spread = float(np.sqrt(np.dot(a, a)))
+    if not math.isfinite(spread):
+        raise DomainError(f"minkowski-deviation scale is not finite ({spread}); the values overflow float64")
+    if spread == 0.0:
+        raise DomainError("spread underflows to 0; the values are too small for float64")
+    return centered / spread
+
+
+def _ref_associate(standardize, vx, vy):
+    if _ref_is_constant(vx) or _ref_is_constant(vy):
+        raise ConstantSeriesError("association is undefined for constant series")
+    return _ref_cosine(standardize(vx), standardize(vy))
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the error it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return f(*args)
+        except (ConstantSeriesError, DomainError) as exc:
+            return type(exc), str(exc)
+
+
+def _value_sets(n):
+    """Seeded 5-row sets at magnitudes 1e-150 .. 1e150, then one of mixed magnitudes."""
+    rng = np.random.default_rng(n)
+    for e in (-150, -100, -50, -8, 0, 8, 50, 100, 150):
+        yield (rng.standard_normal((5, n)) + rng.uniform(-3.0, 3.0)) * 10.0**e
+    yield rng.standard_normal((5, n)) * 10.0 ** rng.integers(-150, 151, size=(5, 1))
+
+
+_COSINE_ROUTES = [(Pearson(), _ref_center_mean), (CosineStandardized(UNIT_MEAN), _ref_unit_mean)]
+
+
+class TestBitIdenticalToReference:
+    """The fast formulas return the very bits, and raise the very errors, of the reference."""
+
+    @pytest.mark.parametrize("n", [2, 3, 256, 4000])
+    @pytest.mark.parametrize("spec, standardize", _COSINE_ROUTES, ids=["pearson", "cosine-unit-mean"])
+    def test_matrix_equals_per_pair_reference(self, spec, standardize, n):
+        finite_sets = 0
+        for rows in _value_sets(n):
+            data = load_set(rows)
+            expected = np.ones((5, 5))
+            all_finite = True
+            for i in range(5):
+                for j in range(i + 1, 5):
+                    vx, vy = data[i].values, data[j].values
+                    want = _outcome(_ref_associate, standardize, vx, vy)
+                    assert _outcome(associate_values, spec, vx, vy) == want
+                    if isinstance(want, float):
+                        expected[i, j] = expected[j, i] = want
+                    else:
+                        all_finite = False
+            if all_finite:
+                finite_sets += 1
+                assert np.array_equal(association_matrix(spec, data).values, expected)
+        assert finite_sets >= 5  # Pearson's norm product leaves float64 beyond ~1e±77
+
+    def test_arithmetic_mean_equals_ndarray_mean(self):
+        rng = np.random.default_rng(61)
+        for n in (2, 3, 7, 256, 4000, 100_003):
+            for e in (-150, -50, 0, 50, 150):
+                v = (rng.standard_normal(n) + rng.uniform(-5.0, 5.0)) * 10.0**e
+                for w in (v, v[::-1], v[::3]) if n > 3 else (v, v[::-1]):
+                    assert ArithmeticMean().evaluate(w) == float(w.mean())
+                    assert central_values(ArithmeticMean(), w) == float(w.mean())
+
+    @pytest.mark.parametrize("spec, standardize", _COSINE_ROUTES, ids=["pearson", "cosine-unit-mean"])
+    @pytest.mark.parametrize("scale", [1e200, 1e-310], ids=["overflow", "underflow"])
+    def test_same_domain_error_as_reference(self, spec, standardize, scale):
+        vx = scale * np.array([1.0, -1.0, 1.0, -1.0])
+        vy = scale * np.array([-1.0, 1.0, 1.0, -1.0])
+        want = _outcome(_ref_associate, standardize, vx, vy)
+        assert want[0] is DomainError
+        assert _outcome(associate_values, spec, vx, vy) == want

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shapeassoc import (
     LengthError,
@@ -12,6 +14,7 @@ from shapeassoc import (
     load_set,
     reflect,
 )
+from shapeassoc.series import is_constant_values
 
 from helpers import random_series, ts
 
@@ -118,3 +121,27 @@ class TestSeriesSet:
         assert [x.id for x in s] == ["s1", "s2"]
         with pytest.raises(KeyError):
             s["missing"]
+
+
+# few distinct values, so draws are often constant or equal at both ends
+_few_floats = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5])
+_float_lists = st.one_of(
+    st.lists(st.floats(), min_size=1, max_size=50),
+    st.lists(_few_floats, min_size=1, max_size=50),
+    st.lists(_few_floats, min_size=1, max_size=49).map(lambda v: v + [v[0]]),
+)
+
+
+@given(_float_lists)
+@example([1.0, 2.0, 1.0])
+@example([0.0, -0.0, 0.0])
+@example([-0.0, 0.0])
+@example([3.0, 3.0, 3.0])
+@example([float("nan"), 1.0, float("nan")])
+@example([7.0])
+@settings(max_examples=300, deadline=None)
+def test_is_constant_values_matches_the_full_comparison(values):
+    v = np.asarray(values, dtype=np.float64)
+    got = is_constant_values(v)
+    assert type(got) is bool
+    assert got == bool(np.all(v == v[0]))

@@ -19,8 +19,19 @@ from shapeassoc import (
     preset,
     standardize,
 )
-from shapeassoc.estimates import central_values, scale_values
-from shapeassoc.standardize import standardize_values
+from shapeassoc.config import from_dict, to_dict
+from shapeassoc.estimates import (
+    CentralEstimate,
+    Max,
+    OrderedWeightedMean,
+    OrderStatistic,
+    Projection,
+    TruncatedMean,
+    WeightedMean,
+    central_values,
+    scale_values,
+)
+from shapeassoc.standardize import Standardization, standardize_values
 
 from helpers import random_values, ts
 
@@ -99,6 +110,27 @@ class TestFlags:
 
     def test_even_spread_with_non_odd_center(self):
         assert not CenterScale(Min(), Range()).odd
+
+    def test_normality_order_follows_the_spread_rule(self):
+        centers = (
+            Min(), Max(), Midrange(), Projection(3), OrderStatistic(2), Median(), TruncatedMean(2),
+            GeneralizedMidrange(1, 3), ArithmeticMean(), WeightedMean((0.25, 0.75)),
+            OrderedWeightedMean((0.5, 0.5)),
+        )
+        assert {type(c) for c in centers} == set(CentralEstimate.__subclasses__())
+        for i, center in enumerate(centers):
+            other = centers[(i + 1) % len(centers)]
+            for r in (1.0, 2.0, 3.0):
+                for spread in (MinkowskiDeviation(r, center), MinkowskiDeviation(r, other), Range()):
+                    spec = CenterScale(center, spread)
+                    s = spec.spread
+                    rule = s.r if isinstance(s, MinkowskiDeviation) and s.center == spec.center else None
+                    assert spec.normality_order == rule
+                    d = to_dict(spec)
+                    assert list(d) == ["kind", "center", "spread"]
+                    back = from_dict(d, Standardization)
+                    assert back == spec and to_dict(back) == d
+                    assert back.normality_order == rule
 
 
 class TestLengthBounds:
