@@ -8,6 +8,8 @@ Pins, against tests/golden.json:
   with their output, and which it rejects;
 - every `$ shapeassoc ...` example of the README, on waves.csv and
   contrast.json, and the README bench config;
+- the JSON the CLI writes for a dendrogram, for the synthetic benchmark, and
+  for a file benchmark whose constant series skips every measure;
 - seeded `verify` reports for the 15 measures of acceptance criterion 3 and
   for every case of `coverage_suite()` (as SHA-256 digests of `to_json()`).
 
@@ -110,6 +112,25 @@ README_BENCH = {
     ],
     "true_clusters": [["a", "c"], ["b"]],
 }
+
+# a file benchmark whose constant series "b" skips every measure
+FLAT = "a,1,2,3,4\nb,2,2,2,2\nc,4,3,2,1\n"
+FLAT_BENCH = {
+    "dataset": {"kind": "file", "path": "flat.csv", "delimiter": "comma", "has_ids": True},
+    "measures": [
+        {"name": "pearson", "measure": "pearson", "expect": "all"},
+        {"name": "cosine", "measure": "cosine", "expect": None},
+    ],
+    "true_clusters": [["a", "c"], ["b"]],
+}
+
+# run after the README `matrix` example has written assoc.csv; each
+# `--json` file is pinned after the command's stdout
+JSON_COMMANDS = (
+    "cluster --matrix assoc.csv --format json",
+    "bench --synthetic --seed 0 --json report.json",
+    "bench --config flat.json --json report.json",
+)
 
 README_COMMANDS = (
     "standardize --input waves.csv --delimiter comma --ids --spec center-mean",
@@ -290,6 +311,19 @@ def readme_outputs() -> dict[str, str]:
     return out
 
 
+def json_outputs() -> dict[str, str]:
+    out = {}
+    with _workdir():
+        Path("flat.csv").write_text(FLAT)
+        Path("flat.json").write_text(json.dumps(FLAT_BENCH))
+        _cli(next(c for c in README_COMMANDS if c.startswith("matrix")).split())
+        for command in JSON_COMMANDS:
+            out[command] = _cli(command.split())
+            if "--json" in command:
+                out[command] += Path("report.json").read_text()
+    return out
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -311,6 +345,7 @@ SECTIONS = {
     "spec_forms": spec_forms,
     "input_outcomes": input_outcomes,
     "readme_outputs": readme_outputs,
+    "json_outputs": json_outputs,
     "verify_digests": verify_digests,
 }
 
@@ -343,6 +378,10 @@ def test_projection_without_k_names_the_missing_key(capsys):
 
 def test_readme_outputs():
     _check("readme_outputs")
+
+
+def test_json_outputs():
+    _check("json_outputs")
 
 
 def test_verify_digests():
