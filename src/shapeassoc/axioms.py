@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, SpecError
-from .config import to_dict
+from .config import to_dict, to_json
 from .measures import (
     DissimilaritySpec,
     MeasureSpec,
@@ -275,15 +275,11 @@ class Witness:
     note: str = ""
 
     def to_dict(self) -> dict:
-        out = {
-            "property": self.property.value,
-            "trial": self.trial,
-            "violation": _json_float(self.violation),
-        }
-        for key, value in self.params.items():
-            out[key] = list(value) if key in ("x", "y") else value
-        if self.note:
-            out["note"] = self.note
+        """Fields with the params at the top level; the note only when set."""
+        out = to_dict(self)
+        out.update(out.pop("params"))
+        if not self.note:
+            del out["note"]
         return out
 
 
@@ -294,19 +290,6 @@ class PropertyResult:
     trials: int
     worst_violation: float
     witness: Witness | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "property": self.property.value,
-            "status": self.status,
-            "trials": self.trials,
-            "worst_violation": _json_float(self.worst_violation),
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
-
-
-def _json_float(v: float):
-    return v if math.isfinite(v) else repr(v)
 
 
 @dataclass(frozen=True)
@@ -331,19 +314,8 @@ class PropertyReport:
     def failures(self) -> tuple[PropertyId, ...]:
         return tuple(r.property for r in self.results if r.status == "fail")
 
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "kind": self.kind,
-            "seed": self.seed,
-            "trials": self.trials,
-            "n_range": list(self.n_range),
-            "tol": self.tol,
-            "results": [r.to_dict() for r in self.results],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return to_json(self)
 
     def to_text(self) -> str:
         lines = [

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .cluster import SimilarityMatrix, contains_cluster, single_linkage
-from .config import from_dict, to_dict
+from .config import from_dict, to_dict, to_json
 from .datasets import parse_dataset
 from .errors import SpecError
 from .estimates import (
@@ -242,18 +242,9 @@ class MeasureOutcome:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "expect": self.expect,
-            "containment": [
-                {"cluster": list(cluster), "contained": contained}
-                for cluster, contained in self.containment
-            ],
-            "contains_all": self.contains_all,
-            "expectation_met": self.expectation_met,
-            "detail": self.detail,
-        }
+        """Fields with each containment pair as {"cluster", "contained"}."""
+        containment = [{"cluster": list(c), "contained": hit} for c, hit in self.containment]
+        return {**to_dict(self), "containment": containment}
 
 
 @dataclass(frozen=True)
@@ -268,17 +259,14 @@ class BenchmarkReport:
         return all(o.expectation_met for o in self.outcomes)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "ids": list(self.ids),
-            "true_clusters": [list(c) for c in self.true_clusters],
-            "constant_series": list(self.constant_series),
-            "measures": [o.to_dict() for o in self.outcomes],
-            "all_expectations_met": self.passed(),
-        }
+        """Fields with the outcomes as "measures", plus "all_expectations_met"."""
+        out = to_dict(self)
+        out["measures"] = out.pop("outcomes")
+        out["all_expectations_met"] = self.passed()
+        return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return to_json(self)
 
     def to_text(self) -> str:
         lines = [

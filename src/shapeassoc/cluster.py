@@ -13,11 +13,11 @@ with one numpy row update per object and replayed in merge order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import to_json
 from .errors import SpecError
 
 _CLAMP_TOL = 1e-9
@@ -97,17 +97,8 @@ class Dendrogram:
         out.extend(frozenset(m.members) for m in self.merges)
         return tuple(out)
 
-    def to_dict(self) -> dict:
-        return {
-            "leaves": list(self.leaves),
-            "merges": [
-                {"left": list(m.left), "right": list(m.right), "level": m.level}
-                for m in self.merges
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return to_json(self)
 
     def to_text(self) -> str:
         lines = [f"leaves: {', '.join(self.leaves)}"]

@@ -1,24 +1,31 @@
-"""Lossless dict <-> spec conversion for every configurable object.
+"""Lossless dict <-> spec conversion, and the package's one JSON writer.
 
-`to_dict` writes a spec as `{"kind": <its tag>}` followed by its dataclass
-fields, under their own names. `from_dict(d, family)` reverses it: the
-"kind" picks the class among the family's subclasses (optional when the
-family is a single tagged class), each value is coerced to its field's type
-hint, and a key may be omitted exactly when its field has a default. A bool
-field takes only a JSON boolean; an int field an integer, a float field a
-number, either one also a string spelling it, but never a boolean; a str
-field only a string; a tuple field only a list. So `"r": true`, `"path": 5`
-or `"weights": "1"` is an error rather than 1.0, "5" or (1.0,).
-Unknown keys are rejected rather than ignored so a typoed parameter cannot
-silently fall back to a default. A string names a standardization preset or
-a measure shorthand. These dict forms are what the CLI reads from JSON files.
+`to_dict` writes a spec, report or dendrogram as `{"kind": <its tag>}`, when
+it has a tag, then its dataclass fields under their own names, each through
+`plain`: an Enum becomes its value, a non-finite float "inf", "-inf" or
+"nan", a tuple a list, and an object with its own `to_dict` that method's
+dict. `to_json` is that form with sorted keys and a 2-space indent.
+`from_dict(d, family)` reverses it for specs: the "kind" picks the class
+among the family's subclasses (optional when the family is a single tagged
+class), each value is coerced to its field's type hint, and a key may be
+omitted exactly when its field has a default. A bool field takes only a
+JSON boolean; an int field an integer, a float field a number, either one
+also a string spelling it, but never a boolean; a str field only a string; a
+tuple field only a list. So `"r": true`, `"path": 5` or `"weights": "1"` is
+an error rather than 1.0, "5" or (1.0,). Unknown keys are rejected rather
+than ignored so a typoed parameter cannot silently fall back to a default. A
+string names a standardization preset or a measure shorthand. These dict
+forms are what the CLI reads from JSON files.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
 import inspect
+import json
+import math
 import types
 import typing
 
@@ -34,19 +41,32 @@ MEASURE_SHORTHANDS = {
 
 
 def to_dict(spec) -> dict:
-    """JSON-ready form of a spec: its tag as "kind", then its fields."""
+    """JSON-ready form of a dataclass: its tag as "kind", then its fields."""
     out = {"kind": spec.tag} if hasattr(spec, "tag") else {}
     for f in dataclasses.fields(spec):
-        out[f.name] = _plain(getattr(spec, f.name))
+        out[f.name] = plain(getattr(spec, f.name))
     return out
 
 
-def _plain(value):
+def plain(value):
+    """`value` as JSON data, by the rules of the module docstring."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
     if dataclasses.is_dataclass(value):
         return to_dict(value)
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
     return value
+
+
+def to_json(obj) -> str:
+    return json.dumps(plain(obj), indent=2, sort_keys=True)
 
 
 def from_dict(d, family):

@@ -7,10 +7,11 @@ tables over signed items rather than on series.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from shapeassoc.config import to_json
 
 class _SignedTable:
     """Symmetric similarity over items (index, sign), sign in {+1, -1}."""
@@ -104,14 +105,6 @@ class ImplicationResult:
     status: str  # "pass" | "fail"
     detail: str
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "status": self.status,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class ImplicationReport:
@@ -121,11 +114,8 @@ class ImplicationReport:
     def passed(self) -> bool:
         return all(r.status == "pass" for r in self.results)
 
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "results": [r.to_dict() for r in self.results]}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return to_json(self)
 
 
 def implication_checks(seed: int = 0, trials: int = 200) -> ImplicationReport:
