@@ -110,8 +110,12 @@ class Dendrogram:
         return "\n".join(lines) + "\n"
 
     def to_newick(self) -> str:
-        """Newick with branch length 1 - level from each child to its parent."""
-        label: dict[frozenset, str] = {frozenset([leaf]): leaf for leaf in self.leaves}
+        """Newick with branch length 1 - level from each child to its parent;
+        an id holding whitespace or any of ()[]':;, is quoted, ' doubled."""
+        label: dict[frozenset, str] = {}
+        for leaf in self.leaves:
+            quote = any(c.isspace() or c in "()[]':;," for c in leaf)
+            label[frozenset([leaf])] = "'" + leaf.replace("'", "''") + "'" if quote else leaf
         for m in self.merges:
             left, right = frozenset(m.left), frozenset(m.right)
             length = format(1.0 - m.level, "g")

@@ -156,6 +156,12 @@ class TestCluster:
         assert payload["leaves"] == ["a", "b", "c"]
         assert len(payload["merges"]) == 2
 
+    def test_newick_quotes_ids_with_special_characters(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text("id,a:1,b(2),c;3\na:1,1,0.5,0.3\nb(2),0.5,1,0.3\nc;3,0.3,0.3,1\n")
+        assert run("cluster", "--matrix", str(p)) == 0
+        assert capsys.readouterr().out == "(('a:1':0.5,'b(2)':0.5):0.7,'c;3':0.7);\n"
+
     def test_non_finite_cell_names_its_position(self, tmp_path, capsys):
         p = tmp_path / "nan.csv"
         p.write_text("id,a,b\na,1.0,nan\nb,nan,1.0\n")

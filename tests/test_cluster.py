@@ -249,6 +249,13 @@ class TestDendrogram:
     def test_newick(self):
         assert single_linkage(THREE).to_newick() == "((1:0.1,2:0.1):0.7,3:0.7);"
 
+    def test_newick_quotes_ids_it_cannot_hold_bare(self):
+        tree = single_linkage(sym(("a:1", "b(2)", "it's"), {(0, 1): 0.9, (0, 2): 0.2, (1, 2): 0.3}))
+        assert tree.to_newick() == "(('a:1':0.1,'b(2)':0.1):0.7,'it''s':0.7);"
+        for leaf in ("c;3", "p,q", "[z]", "x y", "tab\there", ")"):
+            tree = single_linkage(sym((leaf, "s1_x.2-b"), {(0, 1): 0.5}))
+            assert tree.to_newick() == f"('{leaf}':0.5,s1_x.2-b:0.5);"
+
     def test_text_and_json(self):
         tree = single_linkage(THREE)
         text = tree.to_text()
