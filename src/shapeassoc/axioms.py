@@ -195,7 +195,10 @@ class Probe:
             raise SpecError(f"unknown subject kind {self.kind!r}")
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
-        return self.fn(vx, vy)
+        value = self.fn(vx, vy)
+        if math.isnan(value):
+            raise DomainError(f"probe {self.name!r} returned NaN")
+        return value
 
 
 def subject_kind(subject) -> str:
@@ -254,11 +257,12 @@ def _draw_series(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
 
 
 def _trial(prop: PropertyId, ev, kind: str, upper: float | None, x, y, params: dict):
-    """(violation, note) of one trial; a DomainError is an infinite violation."""
+    """(violation, note) of one trial; a DomainError or a NaN is an infinite violation."""
     try:
-        return prop.violation(ev, x, y, params, kind, upper), ""
+        v = prop.violation(ev, x, y, params, kind, upper)
     except DomainError as exc:
         return math.inf, f"raised: {exc}"
+    return (math.inf, "violation is NaN") if math.isnan(v) else (v, "")
 
 
 # --- reports -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from shapeassoc import (
     MinkowskiBranch,
     MinkowskiDeviation,
     Pearson,
+    Probe,
     PropertyId,
     RationalDecay,
     SimilarityBranch,
@@ -110,6 +112,25 @@ class TestVerify:
         witness = report.result(PropertyId.SYMMETRY).witness
         assert witness.violation == math.inf and witness.note.startswith("raised: ")
         assert replay(subject, witness) == witness.violation
+
+    def test_nan_subject_fails_with_infinite_witnesses(self):
+        nan = Probe("association", lambda x, y: float("nan"), "nan")
+        props = (PropertyId.SYMMETRY, PropertyId.RANGE_BOUNDS, PropertyId.ASSOC_REFLEXIVITY)
+        report = verify(nan, props, trials=20, seed=0)
+        assert report.failures() == props
+        for r in report.results:
+            assert r.worst_violation == math.inf and r.witness.violation == math.inf
+            assert r.witness.note == "raised: probe 'nan' returned NaN"
+            assert replay(nan, r.witness) == math.inf
+        assert json.loads(report.to_json())["results"][0]["worst_violation"] == "inf"
+
+    def test_nan_violation_counts_as_infinite(self):
+        # inf - inf is NaN, which a plain `v > worst` comparison lets pass
+        inf = Probe("dissimilarity", lambda x, y: math.inf, "inf")
+        result = verify(inf, (PropertyId.SYMMETRY,), trials=20, seed=0).result(PropertyId.SYMMETRY)
+        assert result.status == "fail" and result.worst_violation == math.inf
+        assert result.witness.note == "violation is NaN" and result.trials == 1
+        assert replay(inf, result.witness) == math.inf
 
     def test_inapplicable_property_marked_not_applicable(self):
         report = verify(D2_UNIT, (PropertyId.ASSOC_REFLEXIVITY,), trials=10)
