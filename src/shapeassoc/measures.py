@@ -20,7 +20,8 @@ Validated constructors (MinkowskiBranch, MinkowskiContrast) refuse
 standardizations that break these preconditions. The Similarity* constructors
 accept any recipe unchecked; the axiom harness exists to catch bad ones.
 Pearson and CosineStandardized share one cosine formula: Pearson is the
-cosine of the mean-centered vectors.
+cosine of the mean-centered vectors, and GeneralizedMidrangeCorrelation
+builds the cosine over a generalized-midrange centering.
 """
 
 from __future__ import annotations
@@ -373,26 +374,11 @@ class CosineStandardized(MeasureSpec):
         return _cosine(fx, fy)
 
 
-@dataclass(frozen=True)
-class GeneralizedMidrangeCorrelation(MeasureSpec):
-    """Correlation with the generalized midrange in place of the mean.
-
-    Centers both series by GMDR(k, m) and takes the cosine of the centered
-    vectors. With k=0, m=1 the center is the midrange.
-    """
-
-    tag = "gmidrange-correlation"
-    k: int = 0
-    m: int = 2
-
-    def __post_init__(self):
-        # parameter sanity is delegated to the estimate
-        centering = Center(GeneralizedMidrange(self.k, self.m))
-        object.__setattr__(self, "centering", centering)
-        object.__setattr__(self, "bounds", centering.bounds)
-
-    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
-        return _cosine(self.centering.evaluate(vx), self.centering.evaluate(vy))
+def GeneralizedMidrangeCorrelation(k: int = 0, m: int = 2) -> CosineStandardized:
+    """Correlation with the generalized midrange GMDR(k, m) in place of the
+    mean: the cosine of the GMDR-centered vectors. With k=0, m=1 the center
+    is the midrange."""
+    return CosineStandardized(Center(GeneralizedMidrange(k, m)))
 
 
 def associate_values(spec: MeasureSpec, vx: np.ndarray, vy: np.ndarray) -> float:

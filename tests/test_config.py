@@ -123,8 +123,17 @@ class TestShorthands:
         assert from_dict("pearson", MeasureSpec) == Pearson()
         assert from_dict("cosine", MeasureSpec) == CosineStandardized(preset("unit-mean"))
         assert from_dict("gmidrange-correlation", MeasureSpec) == GeneralizedMidrangeCorrelation(0, 2)
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="expected one of .*'pearson'"):
             from_dict("spearman", MeasureSpec)
+
+    def test_gmidrange_correlation_decodes_to_and_writes_the_cosine(self):
+        spec = from_dict({"kind": "gmidrange-correlation", "k": "1", "m": 2}, MeasureSpec)
+        assert spec == GeneralizedMidrangeCorrelation(1, 2)
+        assert from_dict({"kind": "gmidrange-correlation"}, MeasureSpec) == GeneralizedMidrangeCorrelation()
+        assert to_dict(spec) == {
+            "kind": "cosine",
+            "standardization": {"kind": "center", "center": {"kind": "generalized-midrange", "k": 1, "m": 2}},
+        }
 
     def test_default_parameters(self):
         spec = from_dict(

@@ -13,6 +13,7 @@ from shapeassoc import (
     DissimilaritySpec,
     DomainError,
     ExpDecay,
+    GeneralizedMidrange,
     GeneralizedMidrangeCorrelation,
     Min,
     MinkowskiBranch,
@@ -43,6 +44,7 @@ from shapeassoc import (
 )
 from shapeassoc.estimates import central_values, scale_values
 from shapeassoc.measures import (
+    _cosine,
     associate_values,
     constant_ids,
     dissimilarity_values,
@@ -321,6 +323,20 @@ class TestCrossRouteEquivalences:
             n = int(rng.integers(3, 50))
             x, y = ts(random_values(rng, n)), ts(random_values(rng, n), "y")
             assert associate(Pearson(), x, y) == associate(cosine, x, y)
+
+    def test_gmidrange_correlation_is_cosine_of_gmidrange_centered(self):
+        # the formula of the former class: _cosine of the two centered vectors
+        assert not isinstance(GeneralizedMidrangeCorrelation, type)
+        rng = np.random.default_rng(53)
+        for k, m in ((0, 2), (1, 3), (0, 1)):
+            centering = Center(GeneralizedMidrange(k, m))
+            spec = GeneralizedMidrangeCorrelation(k, m)
+            assert spec == CosineStandardized(centering)
+            for _ in range(100):
+                n = int(rng.integers(2 * m + 1, 50))
+                vx, vy = random_values(rng, n), random_values(rng, n)
+                old = _cosine(centering.evaluate(vx), centering.evaluate(vy))
+                assert associate(spec, ts(vx), ts(vy, "y")) == old
 
     def test_cosine_route_matches_explicit_standardize(self):
         f = preset("unit-mean")
