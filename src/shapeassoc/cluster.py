@@ -200,27 +200,19 @@ def contains_cluster(tree: Dendrogram, cluster) -> bool:
 def cut(tree: Dendrogram, k: int) -> tuple[tuple[str, ...], ...]:
     """Partition into k clusters by undoing the k-1 weakest merges.
 
-    Levels are non-increasing, so this keeps the first len(leaves)-k merges.
-    Clusters come back ordered by first appearance of a member, members in
+    Levels are non-increasing, so this keeps the first len(leaves)-k merges;
+    a leaf's cluster is the members of the last kept merge that holds it, or
+    the leaf alone. Clusters come back ordered by first appearance of a member, members in
     leaf order.
     """
     total = len(tree.leaves)
     if not 1 <= k <= total:
         raise SpecError(f"cut size must be in 1..{total}, got {k}")
-    position = {leaf: p for p, leaf in enumerate(tree.leaves)}
-    parent = list(range(total))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for m in tree.merges[: total - k]:
-        a = find(position[m.left[0]])
-        b = find(position[m.right[0]])
-        parent[b] = a
-    groups: dict[int, list[str]] = {}
+    last: dict[str, int] = {}  # leaf -> the last kept merge that holds it
+    for i, m in enumerate(tree.merges[: total - k]):
+        for leaf in m.members:
+            last[leaf] = i
+    groups: dict[object, list[str]] = {}
     for leaf in tree.leaves:
-        groups.setdefault(find(position[leaf]), []).append(leaf)
+        groups.setdefault(last.get(leaf, leaf), []).append(leaf)
     return tuple(tuple(g) for g in groups.values())

@@ -52,6 +52,30 @@ def _reference_single_linkage(matrix: SimilarityMatrix) -> Dendrogram:
     return Dendrogram(leaves=ids, merges=tuple(merges))
 
 
+def _reference_cut(tree: Dendrogram, k: int) -> tuple[tuple[str, ...], ...]:
+    """The former union-find cut: the group-for-group oracle for cut."""
+    total = len(tree.leaves)
+    if not 1 <= k <= total:
+        raise SpecError(f"cut size must be in 1..{total}, got {k}")
+    position = {leaf: p for p, leaf in enumerate(tree.leaves)}
+    parent = list(range(total))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for m in tree.merges[: total - k]:
+        a = find(position[m.left[0]])
+        b = find(position[m.right[0]])
+        parent[b] = a
+    groups: dict[int, list[str]] = {}
+    for leaf in tree.leaves:
+        groups.setdefault(find(position[leaf]), []).append(leaf)
+    return tuple(tuple(g) for g in groups.values())
+
+
 def sym(ids, entries):
     """Build a SimilarityMatrix from {(i, j): s} over index pairs."""
     k = len(ids)
@@ -245,6 +269,18 @@ class TestDendrogram:
             cut(tree, 0)
         with pytest.raises(SpecError):
             cut(tree, 4)
+
+    @pytest.mark.parametrize("step", [None, 1 / 2, 1 / 3, 1 / 5])
+    def test_cut_matches_reference_at_every_k(self, step):
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            k = int(rng.integers(2, 41))
+            v = rng.uniform(0.0, 1.0, (k, k))
+            if step is not None:  # tie-heavy: entries on a coarse grid
+                v = np.round(v / step) * step
+            tree = single_linkage(from_upper(v))
+            for size in range(1, k + 1):
+                assert cut(tree, size) == _reference_cut(tree, size)
 
     def test_newick(self):
         assert single_linkage(THREE).to_newick() == "((1:0.1,2:0.1):0.7,3:0.7);"
