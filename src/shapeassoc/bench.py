@@ -293,7 +293,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
     """Evaluate every configured measure; constant series skip the runs."""
     data, planted = spec.dataset.load()
     if spec.true_clusters is not None:
-        true_clusters = tuple(tuple(c) for c in spec.true_clusters)
+        true_clusters = spec.true_clusters
     elif planted is not None:
         true_clusters = tuple(tuple(sorted(c, key=data.ids.index)) for c in planted)
     else:
@@ -307,50 +307,33 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
             raise SpecError(f"true cluster references unknown ids: {sorted(missing)}")
 
     constants = constant_ids(data)
-    outcomes = []
-    for bm in spec.measures:
-        if constants:
-            outcomes.append(
-                MeasureOutcome(
-                    name=bm.name,
-                    status="skipped",
-                    expect=bm.expect,
-                    containment=(),
-                    contains_all=None,
-                    expectation_met=False,
-                    detail=f"constant series present: {', '.join(constants)}",
-                )
-            )
-            continue
-        assoc = association_matrix(bm.measure, data)
-        sim = SimilarityMatrix.from_association(assoc.ids, assoc.values)
-        tree = single_linkage(sim)
-        containment = tuple(
-            (cluster, contains_cluster(tree, cluster)) for cluster in true_clusters
-        )
-        contains_all = all(contained for _, contained in containment)
-        if bm.expect is None:
-            met = True
-        elif bm.expect == "all":
-            met = contains_all
-        else:
-            met = not contains_all
-        outcomes.append(
-            MeasureOutcome(
-                name=bm.name,
-                status="ok",
-                expect=bm.expect,
-                containment=containment,
-                contains_all=contains_all,
-                expectation_met=met,
-            )
-        )
+    skip = f"constant series present: {', '.join(constants)}" if constants else ""
     return BenchmarkReport(
         dataset=to_dict(spec.dataset),
         ids=data.ids,
         true_clusters=true_clusters,
         constant_series=constants,
-        outcomes=tuple(outcomes),
+        outcomes=tuple(_outcome(bm, data, true_clusters, skip) for bm in spec.measures),
+    )
+
+
+def _outcome(bm: BenchmarkMeasure, data: SeriesSet, true_clusters, skip: str) -> MeasureOutcome:
+    """The containment of each true cluster under one measure; a skipped run,
+    which meets no expectation, when `skip` gives the reason."""
+    containment, contains_all = (), None
+    if not skip:
+        assoc = association_matrix(bm.measure, data)
+        tree = single_linkage(SimilarityMatrix.from_association(assoc.ids, assoc.values))
+        containment = tuple((cluster, contains_cluster(tree, cluster)) for cluster in true_clusters)
+        contains_all = all(contained for _, contained in containment)
+    return MeasureOutcome(
+        name=bm.name,
+        status="skipped" if skip else "ok",
+        expect=bm.expect,
+        containment=containment,
+        contains_all=contains_all,
+        expectation_met=not skip and (bm.expect is None or contains_all == (bm.expect == "all")),
+        detail=skip,
     )
 
 
