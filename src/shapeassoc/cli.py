@@ -29,7 +29,7 @@ from .datasets import (
 from .errors import ShapeAssocError
 from .measures import MeasureSpec, associate, association_matrix
 from .series import SeriesSet
-from .standardize import Standardization, standardize
+from .standardize import PRESETS, Standardization, standardize
 
 
 def _default_seed() -> int:
@@ -48,21 +48,13 @@ def _load_json(path: str):
         raise ShapeAssocError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _measure_from_arg(arg: str):
-    if arg in MEASURE_SHORTHANDS:
-        return from_dict(arg, MeasureSpec)
-    if Path(arg).exists():
-        return from_dict(_load_json(arg), MeasureSpec)
-    raise ShapeAssocError(
-        f"measure {arg!r} is neither a shorthand ({', '.join(MEASURE_SHORTHANDS)}) "
-        "nor an existing JSON file"
-    )
-
-
-def _standardization_from_arg(arg: str):
-    if Path(arg).exists():
-        return from_dict(_load_json(arg), Standardization)
-    return from_dict(arg, Standardization)  # preset name
+def _spec_from_arg(arg: str, family):
+    """A spec of `family` from a shorthand or preset name, which wins over a
+    file of that name, or else from the JSON file `arg`."""
+    names = MEASURE_SHORTHANDS if family is MeasureSpec else PRESETS
+    if arg in names or not Path(arg).exists():
+        return from_dict(arg, family)  # an unknown name fails listing the known ones
+    return from_dict(_load_json(arg), family)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -138,18 +130,11 @@ def _parse_props(raw: str) -> tuple[ax.PropertyId, ...] | None:
         return None
     if raw == "sam":
         return ax.SAM_PROPERTIES
-    by_value = {p.value: p for p in ax.PropertyId}
-    out = []
-    for token in raw.split(","):
-        token = token.strip()
-        if token not in by_value:
-            raise ShapeAssocError(f"unknown property id {token!r}")
-        out.append(by_value[token])
-    return tuple(out)
+    return tuple(ax.PropertyId(token.strip()) for token in raw.split(","))
 
 
 def _cmd_standardize(args) -> int:
-    spec = _standardization_from_arg(args.spec)
+    spec = _spec_from_arg(args.spec, Standardization)
     data = _read_dataset(args)
     out = SeriesSet(tuple(standardize(spec, s) for s in data))
     _emit(format_series_csv(out), args.output)
@@ -157,7 +142,7 @@ def _cmd_standardize(args) -> int:
 
 
 def _cmd_assoc(args) -> int:
-    measure = _measure_from_arg(args.measure)
+    measure = _spec_from_arg(args.measure, MeasureSpec)
     data = _read_dataset(args)
     for wanted in (args.x, args.y):
         if wanted not in data:
@@ -168,7 +153,7 @@ def _cmd_assoc(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    measure = _measure_from_arg(args.measure)
+    measure = _spec_from_arg(args.measure, MeasureSpec)
     data = _read_dataset(args)
     assoc = association_matrix(measure, data)
     _emit(format_matrix_csv(assoc.ids, assoc.values), args.output)
@@ -190,7 +175,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    measure = _measure_from_arg(args.measure)
+    measure = _spec_from_arg(args.measure, MeasureSpec)
     props = _parse_props(args.props)
     seed = args.seed if args.seed is not None else _default_seed()
     report = ax.verify(

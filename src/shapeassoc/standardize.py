@@ -111,7 +111,7 @@ def standardize(spec: Standardization, x: TimeSeries) -> TimeSeries:
     return TimeSeries(x.id, out)
 
 
-_PRESETS = ("center-mean", "center-min", "unit-mean", "unit-gmidrange")
+PRESETS = ("center-mean", "center-min", "unit-mean", "unit-gmidrange")
 
 
 def preset(name: str, r: float = 2.0, k: int = 0, m: int = 2) -> Standardization:
@@ -132,4 +132,4 @@ def preset(name: str, r: float = 2.0, k: int = 0, m: int = 2) -> Standardization
     if name == "unit-gmidrange":
         e = GeneralizedMidrange(k, m)
         return CenterScale(e, MinkowskiDeviation(r, e))
-    raise SpecError(f"unknown preset {name!r}; expected one of {_PRESETS}")
+    raise SpecError(f"unknown preset {name!r}; expected one of {PRESETS}")

@@ -54,6 +54,40 @@ class TestStandardize:
         assert captured.err.count("\n") == 1 and "'a,b'" in captured.err
 
 
+class TestSpecArguments:
+    """--measure and --spec: a known name wins over a file of that name;
+    anything else must be an existing JSON file."""
+
+    ASSOC = ("assoc", "--delimiter", "comma", "--ids", "--x", "a", "--y", "c", "--measure")
+    STANDARDIZE = ("standardize", "--delimiter", "comma", "--ids", "--spec")
+    # other specs, in files named after a measure shorthand and a preset
+    SHADOWS = {
+        "pearson": {"kind": "cosine", "standardization": "center-min"},
+        "unit-mean": {"kind": "center", "center": {"kind": "min"}},
+    }
+
+    def _out(self, capsys, dataset, argv, spec):
+        code = run(*argv, spec, "--input", dataset)
+        assert code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, name", [(ASSOC, "pearson"), (STANDARDIZE, "unit-mean")])
+    def test_names_win_over_files_of_the_same_name(self, dataset, tmp_path, monkeypatch, capsys, argv, name):
+        monkeypatch.chdir(tmp_path)
+        by_name = self._out(capsys, dataset, argv, name)
+        Path(name).write_text(json.dumps(self.SHADOWS[name]))
+        assert self._out(capsys, dataset, argv, name) == by_name
+        assert self._out(capsys, dataset, argv, f"./{name}") != by_name
+
+    @pytest.mark.parametrize("argv, known", [(ASSOC, "'pearson'"), (STANDARDIZE, "'unit-mean'")])
+    def test_unknown_names_list_the_known_ones(self, dataset, tmp_path, monkeypatch, capsys, argv, known):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "missing.json", "--input", dataset) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("shapeassoc: error:") and err.count("\n") == 1
+        assert "'missing.json'" in err and known in err
+
+
 class TestAssoc:
     def test_pearson_pair(self, dataset, capsys):
         code = run(
