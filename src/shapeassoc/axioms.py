@@ -358,6 +358,8 @@ def verify(
     """
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
+    if not tol >= 0.0:  # a NaN tol would pass every property
+        raise SpecError(f"tol must be >= 0, got {tol!r}")
     lo_req, hi_req = int(n_range[0]), int(n_range[1])
     if not 2 <= lo_req <= hi_req:
         raise SpecError(f"bad n_range {n_range!r}")

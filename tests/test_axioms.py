@@ -182,6 +182,16 @@ class TestVerify:
         assert "n_range=5..5" in report.to_text()
         assert report.passed()
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_tol_is_refused(self, tol):
+        with pytest.raises(SpecError, match="tol must be >= 0"):
+            verify(Pearson(), (PropertyId.SYMMETRY,), trials=5, tol=tol)
+
+    def test_infinite_tol_passes_a_failing_subject(self):
+        prop = PropertyId.INVERSE_RELATIONSHIP
+        report = verify(MIN_CENTER_BRANCH, (prop,), trials=120, seed=0, tol=math.inf)
+        assert report.passed() and report.result(prop).worst_violation > 0.0
+
     def test_bad_arguments(self):
         with pytest.raises(SpecError):
             verify(Pearson(), trials=0)

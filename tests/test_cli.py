@@ -248,6 +248,13 @@ class TestAxioms:
         assert code == 1
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tol_exits_one(self, capsys, tol):
+        code = run("axioms", "--measure", "pearson", "--props", "sam", "--trials", "5", "--tol", tol)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "tol must be >= 0" in captured.err
+
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("SHAPEASSOC_SEED", "7")
         run("axioms", "--measure", "pearson", "--props", "symmetry", "--trials", "10")
