@@ -74,11 +74,14 @@ class CenterScale(Standardization):
         s = self.spread
         r = s.r if isinstance(s, MinkowskiDeviation) and s.center == self.center else None
         object.__setattr__(self, "normality_order", r)
-
-    @property
-    def bounds(self) -> tuple[int, int | None]:
         (lo, exact), (lo2, exact2) = self.center.bounds, self.spread.bounds
-        return max(lo, lo2), exact if exact is not None else exact2
+        lo, fixed = max(lo, lo2), exact if exact is not None else exact2
+        if fixed is not None and (fixed < lo or exact2 not in (None, fixed)):
+            raise SpecError(
+                f"no series length meets both the center ({_length(self.center.bounds)}) "
+                f"and the spread ({_length(self.spread.bounds)})"
+            )
+        object.__setattr__(self, "bounds", (lo, fixed))
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
         if is_constant_values(v):
@@ -92,6 +95,11 @@ class CenterScale(Standardization):
         if spread == 0.0:
             raise DomainError("spread underflows to 0; the values are too small for float64")
         return centered / spread
+
+
+def _length(bounds: tuple[int, int | None]) -> str:
+    lo, exact = bounds
+    return f"length {exact}" if exact is not None else f"length >= {lo}"
 
 
 def standardize_values(spec: Standardization, v: np.ndarray) -> np.ndarray:

@@ -139,6 +139,21 @@ class TestLengthBounds:
         assert preset("unit-gmidrange").bounds == (5, None)
         assert preset("unit-gmidrange", m=3).bounds == (7, None)
         assert Center(Min()).bounds == (2, None)
+        spread = MinkowskiDeviation(2.0, WeightedMean((0.25,) * 4))
+        assert CenterScale(Projection(3), spread).bounds == (4, 4)
+        assert CenterScale(Median(), spread).bounds == (4, 4)
+
+    @pytest.mark.parametrize(
+        "center, spread, wanted",
+        [
+            (WeightedMean((0.5, 0.5)), WeightedMean((1 / 3,) * 3), r"center \(length 2\) and the spread \(length 3\)"),
+            (Projection(5), WeightedMean((0.25,) * 4), r"center \(length >= 5\) and the spread \(length 4\)"),
+        ],
+        ids=["two-fixed-lengths", "fixed-length-below-minimum"],
+    )
+    def test_lengths_no_series_can_meet_are_refused(self, center, spread, wanted):
+        with pytest.raises(SpecError, match=wanted):
+            CenterScale(center, MinkowskiDeviation(2.0, spread))
 
 
 _SPECS = (
