@@ -202,7 +202,8 @@ def default_grid_measures(expectations: dict[str, str] | str | None = "all") -> 
 
     expectations: "all" (every measure must contain all true clusters), None
     (no expectations), "real-data" (the containment pattern observed on the
-    reference benchmark), or an explicit name -> expectation dict.
+    reference benchmark), or an explicit name -> expectation dict whose
+    names must all be grid measures.
     """
     out = []
     for center_name, center in _GRID_CENTERS:
@@ -220,6 +221,9 @@ def default_grid_measures(expectations: dict[str, str] | str | None = "all") -> 
             else:
                 expect = expectations
             out.append(BenchmarkMeasure(name, measure, expect))
+    unknown = sorted(set(expectations) - {m.name for m in out}) if isinstance(expectations, dict) else []
+    if unknown:
+        raise SpecError(f"expectations name no grid measure: {unknown}")
     return tuple(out)
 
 

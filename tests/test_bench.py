@@ -93,6 +93,10 @@ class TestDefaultGrid:
         assert by_name["branch-mean"] == "not-all"
         assert by_name["contrast-median"] is None
 
+    def test_expectations_must_name_grid_measures(self):
+        with pytest.raises(SpecError, match=r"\['branch-midrnage'\]"):
+            default_grid_measures({"branch-mean": "not-all", "branch-midrnage": "not-all"})
+
 
 class TestRunBenchmark:
     def test_default_synthetic_passes(self):

@@ -331,6 +331,7 @@ class TestMalformedConfig:
             ({"dataset": {"kind": "synthetic"}, "true_clusters": 5}, "'true_clusters'"),
             ({"dataset": {"kind": "file", "path": "x.txt", "has_ids": "false"}}, "'has_ids'"),
             ({"dataset": {"kind": "synthetic", "clusters": [{"size": 2.7}]}}, "'size'"),
+            ({"dataset": {"kind": "synthetic", "length": 64}, "expectations": {"branch-midrnage": "not-all"}}, "'branch-midrnage'"),
         ],
     )
     def test_bench_config(self, tmp_path, capsys, payload, key):
