@@ -23,7 +23,7 @@ from shapeassoc import (
     central,
     scale,
 )
-from shapeassoc.estimates import central_values, scale_values
+from shapeassoc.estimates import central_values, minkowski_norm, scale_values
 
 from helpers import random_values, ts
 
@@ -78,6 +78,20 @@ class TestWorkedExamples:
             math.sqrt(2), abs=1e-15
         )
         assert scale(MinkowskiDeviation(1.0, ArithmeticMean()), ts([1, 2, 3])) == 2.0
+
+
+class TestMinkowskiNorm:
+    def test_order_two_equals_the_absolute_value_form_bit_for_bit(self):
+        rng = np.random.default_rng(68)
+        for t in range(300):
+            n = int(np.exp(rng.uniform(np.log(2), np.log(100_003))))
+            if t % 3 == 0:  # magnitudes from 1e-150 to 1e150 within one vector
+                magnitude = 10.0 ** rng.integers(-150, 151, n)
+            else:
+                magnitude = 10.0 ** rng.choice((-150, -8, 0, 8, 150))
+            d = rng.standard_normal(n) * magnitude
+            a = np.abs(d)
+            assert minkowski_norm(d, 2.0) == float(np.sqrt(np.dot(a, a)))
 
 
 class TestParameterValidation:
