@@ -221,9 +221,9 @@ def default_grid_measures(expectations: dict[str, str] | str | None = "all") -> 
             else:
                 expect = expectations
             out.append(BenchmarkMeasure(name, measure, expect))
-    unknown = sorted(set(expectations) - {m.name for m in out}) if isinstance(expectations, dict) else []
-    if unknown:
-        raise SpecError(f"expectations name no grid measure: {unknown}")
+    names = {m.name for m in out}
+    if isinstance(expectations, dict) and not names.issuperset(expectations):
+        raise SpecError(f"expectations name no grid measure: {sorted(set(expectations) - names)}")
     return tuple(out)
 
 
@@ -302,13 +302,11 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
         true_clusters = tuple(tuple(sorted(c, key=data.ids.index)) for c in planted)
     else:
         raise SpecError("file datasets need explicit true_clusters")
-    known = set(data.ids)
     for cluster in true_clusters:
-        if len(cluster) < 1:
+        if not cluster:
             raise SpecError("true clusters must not be empty")
-        missing = set(cluster) - known
-        if missing:
-            raise SpecError(f"true cluster references unknown ids: {sorted(missing)}")
+        if missing := sorted(set(cluster) - set(data.ids)):
+            raise SpecError(f"true cluster references unknown ids: {missing}")
 
     constants = constant_ids(data)
     skip = f"constant series present: {', '.join(constants)}" if constants else ""
@@ -330,15 +328,9 @@ def _outcome(bm: BenchmarkMeasure, data: SeriesSet, true_clusters, skip: str) ->
         tree = single_linkage(SimilarityMatrix.from_association(assoc.ids, assoc.values))
         containment = tuple((cluster, contains_cluster(tree, cluster)) for cluster in true_clusters)
         contains_all = all(contained for _, contained in containment)
-    return MeasureOutcome(
-        name=bm.name,
-        status="skipped" if skip else "ok",
-        expect=bm.expect,
-        containment=containment,
-        contains_all=contains_all,
-        expectation_met=not skip and (bm.expect is None or contains_all == (bm.expect == "all")),
-        detail=skip,
-    )
+    met = not skip and (bm.expect is None or contains_all == (bm.expect == "all"))
+    status = "skipped" if skip else "ok"
+    return MeasureOutcome(bm.name, status, bm.expect, containment, contains_all, met, skip)
 
 
 # --- JSON configuration ----------------------------------------------------------

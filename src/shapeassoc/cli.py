@@ -49,8 +49,7 @@ def _load_json(path: str):
 
 
 def _spec_from_arg(arg: str, family):
-    """A spec of `family` from a shorthand or preset name, which wins over a
-    file of that name, or else from the JSON file `arg`."""
+    """A spec of `family` named by `arg`, a name winning over a file, else read from file `arg`."""
     names = MEASURE_SHORTHANDS if family is MeasureSpec else PRESETS
     if arg in names or not Path(arg).exists():
         return from_dict(arg, family)  # an unknown name fails listing the known ones

@@ -15,11 +15,10 @@ tuple field only a list. So `"r": true`, `"path": 5` or `"weights": "1"` is
 an error rather than 1.0, "5" or (1.0,). Unknown keys are rejected rather
 than ignored so a typoed parameter cannot silently fall back to a default. A
 string names a standardization preset or a measure shorthand; an unknown
-name fails listing the known ones. Two kinds only decode: "preset" builds a
-standardization by `preset`, and "gmidrange-correlation" (keys "k", "m")
-builds `GeneralizedMidrangeCorrelation`, a cosine measure that `to_dict`
-writes in its "cosine" form. These dict forms are what the CLI reads from
-JSON files.
+name fails listing the known ones. Two kinds only decode: "preset" calls
+`preset`, and "gmidrange-correlation" (keys "k", "m") calls
+`GeneralizedMidrangeCorrelation`, whose cosine measure writes kind "cosine".
+These dict forms are what the CLI reads from JSON files.
 """
 
 from __future__ import annotations
@@ -84,7 +83,9 @@ def from_dict(d, family):
         return preset(d)
     if isinstance(d, str) and family is MeasureSpec:
         if d not in MEASURE_SHORTHANDS:
-            raise SpecError(f"unknown measure shorthand {d!r}; expected one of {tuple(MEASURE_SHORTHANDS)}")
+            raise SpecError(
+                f"unknown measure shorthand {d!r}; expected one of {tuple(MEASURE_SHORTHANDS)}"
+            )
         return MEASURE_SHORTHANDS[d]()
     if not isinstance(d, dict):
         raise SpecError(f"{family.__name__} must be an object, got {d!r}")
@@ -93,7 +94,7 @@ def from_dict(d, family):
     if family is Standardization:
         kinds["preset"] = preset  # {"kind": "preset", "name": ..., "r": ...}
     if family is MeasureSpec:
-        kinds["gmidrange-correlation"] = GeneralizedMidrangeCorrelation  # {"kind": ..., "k": ..., "m": ...}
+        kinds["gmidrange-correlation"] = GeneralizedMidrangeCorrelation
     if not kinds:
         tag = getattr(family, "tag", None)
         kinds = {tag: family}

@@ -375,9 +375,8 @@ class CosineStandardized(MeasureSpec):
 
 
 def GeneralizedMidrangeCorrelation(k: int = 0, m: int = 2) -> CosineStandardized:
-    """Correlation with the generalized midrange GMDR(k, m) in place of the
-    mean: the cosine of the GMDR-centered vectors. With k=0, m=1 the center
-    is the midrange."""
+    """Correlation with GMDR(k, m) in place of the mean: the cosine of the
+    GMDR-centered vectors. With k=0, m=1 the center is the midrange."""
     return CosineStandardized(Center(GeneralizedMidrange(k, m)))
 
 

@@ -74,13 +74,12 @@ class CenterScale(Standardization):
         s = self.spread
         r = s.r if isinstance(s, MinkowskiDeviation) and s.center == self.center else None
         object.__setattr__(self, "normality_order", r)
-        (lo, exact), (lo2, exact2) = self.center.bounds, self.spread.bounds
+        bounds = self.center.bounds, self.spread.bounds
+        (lo, exact), (lo2, exact2) = bounds
         lo, fixed = max(lo, lo2), exact if exact is not None else exact2
         if fixed is not None and (fixed < lo or exact2 not in (None, fixed)):
-            raise SpecError(
-                f"no series length meets both the center ({_length(self.center.bounds)}) "
-                f"and the spread ({_length(self.spread.bounds)})"
-            )
+            center, spread = (f"length >= {n}" if e is None else f"length {e}" for n, e in bounds)
+            raise SpecError(f"no length meets both the center ({center}) and the spread ({spread})")
         object.__setattr__(self, "bounds", (lo, fixed))
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
@@ -95,11 +94,6 @@ class CenterScale(Standardization):
         if spread == 0.0:
             raise DomainError("spread underflows to 0; the values are too small for float64")
         return centered / spread
-
-
-def _length(bounds: tuple[int, int | None]) -> str:
-    lo, exact = bounds
-    return f"length {exact}" if exact is not None else f"length >= {lo}"
 
 
 def standardize_values(spec: Standardization, v: np.ndarray) -> np.ndarray:
