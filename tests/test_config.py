@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,10 +36,10 @@ from shapeassoc import (
 )
 from shapeassoc.axioms import describe_subject
 from shapeassoc.bench import DatasetSpec
-from shapeassoc.config import from_dict, to_dict
+from shapeassoc.config import MEASURE_SHORTHANDS, from_dict, to_dict
 from shapeassoc.estimates import CentralEstimate, ScaleEstimate
 from shapeassoc.measures import DecayTransform, MeasureSpec
-from shapeassoc.standardize import Standardization
+from shapeassoc.standardize import PRESETS, Standardization
 
 CENTRALS = (
     Min(),
@@ -235,3 +236,10 @@ class TestSubjectDescription:
         assert describe_subject(dis)["subject"] == "dissimilarity"
         recipe = SimilarityRecipe(dis, RationalDecay(1.0))
         assert describe_subject(recipe)["subject"] == "similarity"
+
+
+class TestDocs:
+    def test_readme_names_every_shorthand_and_preset(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        missing = [name for name in (*MEASURE_SHORTHANDS, *PRESETS) if f"`{name}`" not in readme]
+        assert not missing
