@@ -202,8 +202,8 @@ def cut(tree: Dendrogram, k: int) -> tuple[tuple[str, ...], ...]:
 
     Levels are non-increasing, so this keeps the first len(leaves)-k merges;
     a leaf's cluster is the members of the last kept merge that holds it, or
-    the leaf alone. Clusters come back ordered by first appearance of a member, members in
-    leaf order.
+    the leaf alone. Clusters come back ordered by first appearance of a
+    member, members in leaf order.
     """
     total = len(tree.leaves)
     if not 1 <= k <= total:
