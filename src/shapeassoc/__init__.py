@@ -20,7 +20,6 @@ from .series import (
     constant_series,
     is_constant,
     load_set,
-    reflect,
 )
 from .estimates import (
     ArithmeticMean,
@@ -60,7 +59,6 @@ from .measures import (
     SimilarityComplement,
     SimilarityDifference,
     SimilarityRecipe,
-    abs_similarity,
     associate,
     association_matrix,
     decay,
@@ -77,7 +75,6 @@ from .axioms import (
     applicable_properties,
     coverage_suite,
     replay,
-    subject_kind,
     verify,
 )
 from .cluster import (

@@ -201,11 +201,6 @@ class Probe:
         return value
 
 
-def subject_kind(subject) -> str:
-    """What the subject computes: "association", "similarity" or "dissimilarity"."""
-    return subject.kind
-
-
 def _evaluator(subject) -> Callable[[np.ndarray, np.ndarray], float]:
     # measures and dissimilarities go through their module-level entry points;
     # associate_values holds the constant-series check
@@ -338,8 +333,7 @@ class PropertyReport:
 
 
 def applicable_properties(subject) -> tuple[PropertyId, ...]:
-    kind = subject_kind(subject)
-    return tuple(p for p in PropertyId if kind in p.kinds)
+    return tuple(p for p in PropertyId if subject.kind in p.kinds)
 
 
 def verify(
@@ -363,7 +357,7 @@ def verify(
     lo_req, hi_req = int(n_range[0]), int(n_range[1])
     if not 2 <= lo_req <= hi_req:
         raise SpecError(f"bad n_range {n_range!r}")
-    kind = subject_kind(subject)
+    kind = subject.kind
     if properties is None:
         props = applicable_properties(subject)
     else:
@@ -423,8 +417,8 @@ def replay(subject, witness: Witness) -> float:
     params = dict(witness.params)
     x = np.asarray(params.pop("x"), dtype=np.float64)
     y = np.asarray(params.pop("y"), dtype=np.float64) if "y" in params else None
-    kind = subject_kind(subject)
-    return _trial(witness.property, _evaluator(subject), kind, _upper(subject), x, y, params)[0]
+    ev, upper = _evaluator(subject), _upper(subject)
+    return _trial(witness.property, ev, subject.kind, upper, x, y, params)[0]
 
 
 # --- built-in coverage suite ------------------------------------------------------

@@ -354,15 +354,3 @@ def benchmark_spec_from_dict(d: dict) -> BenchmarkSpec:
         raise SpecError("measures must be 'default-grid' or a non-empty list")
     return from_dict({**d, "measures": measures}, BenchmarkSpec)
 
-
-def benchmark_spec_to_dict(spec: BenchmarkSpec) -> dict:
-    out = {
-        "dataset": to_dict(spec.dataset),
-        "measures": [
-            {"name": m.name, "expect": m.expect, "measure": to_dict(m.measure)}
-            for m in spec.measures
-        ],
-    }
-    if spec.true_clusters is not None:
-        out["true_clusters"] = [list(c) for c in spec.true_clusters]
-    return out

@@ -395,11 +395,6 @@ def associate(spec: MeasureSpec, x: TimeSeries, y: TimeSeries) -> float:
     return _on_pair(associate_values, spec, x, y)
 
 
-def abs_similarity(spec: MeasureSpec, x: TimeSeries, y: TimeSeries) -> float:
-    """|A(x, y)|: similarity of shape families {x, -x} vs {y, -y}."""
-    return abs(associate(spec, x, y))
-
-
 @dataclass(frozen=True, eq=False)
 class AssociationMatrix:
     """Symmetric association matrix over a series set, unit diagonal."""

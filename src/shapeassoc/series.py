@@ -52,11 +52,6 @@ class TimeSeries:
         return f"TimeSeries(id={self.id!r}, n={self.n})"
 
 
-def reflect(x: TimeSeries) -> TimeSeries:
-    """Pointwise negation -x. Exact in floating point."""
-    return TimeSeries(x.id, -x.values)
-
-
 def constant_series(value: float, n: int, id: str = "const") -> TimeSeries:
     """Series of n copies of value."""
     if n < 2:

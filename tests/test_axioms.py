@@ -28,7 +28,6 @@ from shapeassoc import (
     coverage_suite,
     preset,
     replay,
-    subject_kind,
     verify,
 )
 from shapeassoc.axioms import SAM_PROPERTIES, describe_subject
@@ -45,10 +44,10 @@ MIN_CENTER_BRANCH = SimilarityBranch(
 
 class TestKinds:
     def test_subject_kinds(self):
-        assert subject_kind(Pearson()) == "association"
-        assert subject_kind(D2_UNIT) == "dissimilarity"
-        assert subject_kind(RECIPE_UNIT) == "similarity"
-        assert subject_kind(AbsSimilarity(Pearson())) == "similarity"
+        assert Pearson().kind == "association"
+        assert D2_UNIT.kind == "dissimilarity"
+        assert RECIPE_UNIT.kind == "similarity"
+        assert AbsSimilarity(Pearson()).kind == "similarity"
 
     def test_applicable_properties(self):
         assoc = applicable_properties(Pearson())

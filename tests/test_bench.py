@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from shapeassoc import (
     generate_synthetic,
     run_benchmark,
 )
-from shapeassoc.bench import benchmark_spec_from_dict, benchmark_spec_to_dict
+from shapeassoc.bench import benchmark_spec_from_dict
+from shapeassoc.config import to_dict
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
 
 
 class TestSyntheticGenerator:
@@ -50,11 +54,11 @@ class TestSyntheticGenerator:
         assert associate(Pearson(), data["s3"], data["s4"]) > 0.8
 
     def test_cross_cluster_association_is_weak(self):
-        from shapeassoc import abs_similarity
+        from shapeassoc import associate
 
         data, planted = generate_synthetic(SyntheticDataset(seed=0))
-        assert abs_similarity(Pearson(), data["s1"], data["s5"]) < 0.5
-        assert abs_similarity(Pearson(), data["s5"], data["s8"]) < 0.5
+        assert abs(associate(Pearson(), data["s1"], data["s5"])) < 0.5
+        assert abs(associate(Pearson(), data["s5"], data["s8"])) < 0.5
 
     def test_parameter_validation(self):
         with pytest.raises(SpecError):
@@ -204,12 +208,25 @@ class TestBenchmarkConfig:
         assert spec.true_clusters == (("a", "b"), ("c",))
 
     def test_round_trip_through_dict(self):
-        spec = default_synthetic_spec(seed=1)
-        d = benchmark_spec_to_dict(spec)
-        json.dumps(d)
-        again = benchmark_spec_from_dict(d)
-        assert again.dataset == spec.dataset
-        assert again.measures == spec.measures
+        # the README bench config is the one ```json block naming a dataset
+        block = README.split('```json\n{\n  "dataset"', 1)[1].split("```", 1)[0]
+        readme_spec = benchmark_spec_from_dict(json.loads('{\n  "dataset"' + block))
+        specs = (
+            default_synthetic_spec(seed=1),
+            readme_spec,
+            BenchmarkSpec(
+                FileDataset("x.txt", "tab", "rows", True),
+                readme_spec.measures,
+                (("a", "c"), ("b",)),
+            ),
+        )
+        for spec in specs:
+            d = json.loads(json.dumps(to_dict(spec)))
+            again = benchmark_spec_from_dict(d)
+            assert again.dataset == spec.dataset
+            assert again.measures == spec.measures
+            assert again == spec
+        assert readme_spec.true_clusters == (("a", "c"), ("b",))
 
     def test_custom_clusters(self):
         cfg = {

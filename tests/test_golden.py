@@ -72,8 +72,9 @@ from shapeassoc import (
     verify,
 )
 from shapeassoc.axioms import describe_subject
-from shapeassoc.bench import benchmark_spec_from_dict, benchmark_spec_to_dict
+from shapeassoc.bench import benchmark_spec_from_dict
 from shapeassoc.cli import main
+from shapeassoc.config import to_dict
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -298,15 +299,15 @@ def readme_outputs() -> dict[str, str]:
             if "--output" in command:
                 out[command] += Path("assoc.csv").read_text()
     spec = benchmark_spec_from_dict(README_BENCH)
-    out["bench config round trip"] = json.dumps(benchmark_spec_to_dict(spec))
+    out["bench config round trip"] = json.dumps(to_dict(spec))
     synthetic = BenchmarkSpec(
         SyntheticDataset(3, 64, 0.1, (SyntheticCluster(2, (False, True)), SyntheticCluster(3))),
         default_grid_measures("real-data"),
         (("s1", "s2"), ("s3", "s4", "s5")),
     )
-    out["bench spec to dict"] = json.dumps(benchmark_spec_to_dict(synthetic))
+    out["bench spec to dict"] = json.dumps(to_dict(synthetic))
     out["file dataset"] = json.dumps(
-        benchmark_spec_to_dict(BenchmarkSpec(FileDataset("x.txt", "tab", "rows", True), spec.measures))
+        to_dict(BenchmarkSpec(FileDataset("x.txt", "tab", "rows", True), spec.measures))
     )
     return out
 

@@ -29,7 +29,7 @@ from shapeassoc import (
     SimilarityDifference,
     SimilarityRecipe,
     SpecError,
-    abs_similarity,
+    TimeSeries,
     associate,
     association_matrix,
     constant_series,
@@ -38,7 +38,6 @@ from shapeassoc import (
     grow,
     load_set,
     preset,
-    reflect,
     similarity,
     standardize,
 )
@@ -258,7 +257,7 @@ class TestAssociate:
             GeneralizedMidrangeCorrelation(0, 2),
         ):
             x = ts(random_values(rng, 12))
-            assert associate(spec, reflect(x), x) == pytest.approx(-1.0, abs=1e-9)
+            assert associate(spec, TimeSeries(x.id, -x.values), x) == pytest.approx(-1.0, abs=1e-9)
             assert associate(spec, x, x) == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_inputs_rejected(self):
@@ -364,7 +363,7 @@ class TestCrossRouteEquivalences:
             x = ts(random_values(rng, 10))
             y = ts(random_values(rng, 10), "y")
             s_same = similarity(recipe, x, y)
-            s_refl = similarity(recipe, x, reflect(y))
+            s_refl = similarity(recipe, x, TimeSeries(y.id, -y.values))
             assert associate(diff, x, y) == pytest.approx(s_same - s_refl, abs=1e-15)
             assert associate(comp, x, y) == pytest.approx(2.0 * s_same - 1.0, abs=1e-15)
 
@@ -382,18 +381,18 @@ class TestCrossRouteEquivalences:
 
 class TestAbsSimilarity:
     def test_examples(self):
-        assert abs_similarity(Pearson(), ts([1, 2, 3]), ts([3, 2, 1], "y")) == 1.0
-        assert abs_similarity(Pearson(), ts([1, 2, 3]), ts([1, 3, 2], "y")) == 0.5
+        assert abs(associate(Pearson(), ts([1, 2, 3]), ts([3, 2, 1], "y"))) == 1.0
+        assert abs(associate(Pearson(), ts([1, 2, 3]), ts([1, 3, 2], "y"))) == 0.5
         x = ts([2, 9, 4])
-        assert abs_similarity(Pearson(), x, x) == 1.0
+        assert abs(associate(Pearson(), x, x)) == 1.0
 
     def test_reflection_invariance(self):
         rng = np.random.default_rng(53)
         for spec in (Pearson(), MinkowskiBranch(D2_UNIT), MinkowskiContrast(D2_UNIT)):
             x = ts(random_values(rng, 16))
             y = ts(random_values(rng, 16), "y")
-            assert abs_similarity(spec, reflect(x), y) == pytest.approx(
-                abs_similarity(spec, x, y), abs=1e-12
+            assert abs(associate(spec, TimeSeries(x.id, -x.values), y)) == pytest.approx(
+                abs(associate(spec, x, y)), abs=1e-12
             )
 
 
