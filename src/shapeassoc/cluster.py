@@ -9,10 +9,16 @@ Ties go to the pair with the smallest (row, column) position.
 `single_linkage` runs in O(k^2) time: the merge levels are the edge weights
 of the maximum spanning tree (Gower & Ross 1969), built by Prim's algorithm
 with one numpy row update per object and replayed in merge order.
+
+A `Dendrogram` numbers its nodes as scipy's linkage matrix does (Müllner
+2011): leaf i is node i, and merge t creates node k + t from two earlier
+nodes, each joined once. Construction derives the two child nodes of every
+merge, and refuses a merge whose sides are not exactly two current clusters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,20 +79,32 @@ class MergeStep:
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
-    """Full merge history over a fixed leaf order."""
+    """Full merge history over a fixed leaf order, nodes numbered as in scipy."""
 
     leaves: tuple[str, ...]
     merges: tuple[MergeStep, ...]
 
     def __post_init__(self):
-        if len(self.merges) != max(0, len(self.leaves) - 1):
-            raise SpecError(
-                f"{len(self.leaves)} leaves need {len(self.leaves) - 1} merges, "
-                f"got {len(self.merges)}"
-            )
+        k = len(self.leaves)
+        if not k or len(set(self.leaves)) != k:
+            raise SpecError("dendrogram leaves must be non-empty and unique")
+        if len(self.merges) != k - 1:
+            raise SpecError(f"{k} leaves need {k - 1} merges, got {len(self.merges)}")
         levels = [m.level for m in self.merges]
         if any(b > a for a, b in zip(levels, levels[1:])):
             raise SpecError("merge levels must be non-increasing")
+        current = {frozenset([leaf]): i for i, leaf in enumerate(self.leaves)}
+        children = []
+        for t, m in enumerate(self.merges):
+            if not math.isfinite(m.level):
+                raise SpecError(f"merge {t + 1} has a non-finite level {m.level!r}")
+            left, right = frozenset(m.left), frozenset(m.right)
+            pair = current.pop(left, None), current.pop(right, None)
+            if None in pair or len(left) + len(right) != len(m.members):
+                raise SpecError(f"merge {t + 1} does not join two current clusters")
+            current[left | right] = k + t
+            children.append(pair)
+        object.__setattr__(self, "_children", tuple(children))
 
     def levels(self) -> tuple[float, ...]:
         return tuple(m.level for m in self.merges)
@@ -112,18 +130,15 @@ class Dendrogram:
     def to_newick(self) -> str:
         """Newick with branch length 1 - level from each child to its parent;
         an id holding whitespace or any of ()[]':;, is quoted, ' doubled."""
-        label: dict[frozenset, str] = {}
-        for leaf in self.leaves:
+        label = {}
+        for i, leaf in enumerate(self.leaves):
             quote = any(c.isspace() or c in "()[]':;," for c in leaf)
-            label[frozenset([leaf])] = "'" + leaf.replace("'", "''") + "'" if quote else leaf
-        for m in self.merges:
-            left, right = frozenset(m.left), frozenset(m.right)
+            label[i] = "'" + leaf.replace("'", "''") + "'" if quote else leaf
+        for node, (m, (a, b)) in enumerate(zip(self.merges, self._children), len(self.leaves)):
             length = format(1.0 - m.level, "g")
-            label[left | right] = (
-                f"({label.pop(left)}:{length},{label.pop(right)}:{length})"
-            )
-        root = frozenset(self.leaves)
-        return f"{label[root]};"
+            label[node] = f"({label.pop(a)}:{length},{label.pop(b)}:{length})"
+        (root,) = label.values()
+        return f"{root};"
 
 
 def single_linkage(matrix: SimilarityMatrix) -> Dendrogram:

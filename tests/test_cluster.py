@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -204,6 +208,13 @@ class TestSingleLinkage:
             m = from_upper(v)
             assert single_linkage(m).merges == _reference_single_linkage(m).merges
 
+    def test_matches_scipy_node_for_node(self):
+        # in a child process; tests/scipy_oracle.py says why
+        oracle = Path(__file__).with_name("scipy_oracle.py")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, str(oracle)], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "296 matrices match\n", "")
+
     def test_all_equal_matches_reference(self):
         for k in (2, 3, 7, 25):
             m = from_upper(np.full((k, k), 0.25))
@@ -242,6 +253,26 @@ class TestDendrogram:
                     MergeStep(("a", "b"), ("c",), 0.7),
                 ),
             )
+        abc = ("a", "b", "c")
+        refused = [
+            # the second merge re-joins "a", already merged with "b"
+            ("merge 2 ", abc, (MergeStep(("a",), ("b",), 0.5), MergeStep(("a",), ("c",), 0.4))),
+            # "z" is no leaf
+            ("merge 1 ", abc, (MergeStep(("a",), ("z",), 0.5), MergeStep(("a", "z"), ("c",), 0.4))),
+            # one cluster on both sides, and a side that repeats a leaf
+            ("merge 1 ", ("a", "b"), (MergeStep(("a",), ("a",), 0.5),)),
+            ("merge 1 ", abc, (MergeStep(("a", "a"), ("b",), 0.5), MergeStep(("a", "b"), ("c",), 0.4))),
+            ("non-empty", (), ()),
+            ("unique", ("a", "a"), (MergeStep(("a",), ("a",), 0.5),)),
+            (
+                "merge 1 has a non-finite",
+                abc,
+                (MergeStep(("a",), ("b",), float("nan")), MergeStep(("a", "b"), ("c",), 0.4)),
+            ),
+        ]
+        for match, leaves, merges in refused:
+            with pytest.raises(SpecError, match=match):
+                Dendrogram(leaves, merges)
 
     def test_nodes(self):
         tree = single_linkage(THREE)
