@@ -1,8 +1,10 @@
 import json
+import types
 from pathlib import Path
 
 import pytest
 
+import shapeassoc
 from shapeassoc import (
     ArithmeticMean,
     Center,
@@ -242,4 +244,16 @@ class TestDocs:
     def test_readme_names_every_shorthand_and_preset(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         missing = [name for name in (*MEASURE_SHORTHANDS, *PRESETS) if f"`{name}`" not in readme]
+        assert not missing
+
+    def test_readme_names_every_export(self):
+        # a public name is documented API, or it should not be exported
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        exports = [
+            name
+            for name, value in vars(shapeassoc).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        ]
+        assert {"SAM_PROPERTIES", "Dendrogram", "verify"} <= set(exports)
+        missing = [name for name in exports if f"`{name}`" not in readme]
         assert not missing
