@@ -20,8 +20,6 @@ from shapeassoc import (
 from shapeassoc.bench import benchmark_spec_from_dict
 from shapeassoc.config import to_dict
 
-README = (Path(__file__).parents[1] / "README.md").read_text()
-
 
 class TestSyntheticGenerator:
     def test_shape_and_ids(self):
@@ -209,7 +207,8 @@ class TestBenchmarkConfig:
 
     def test_round_trip_through_dict(self):
         # the README bench config is the one ```json block naming a dataset
-        block = README.split('```json\n{\n  "dataset"', 1)[1].split("```", 1)[0]
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split('```json\n{\n  "dataset"', 1)[1].split("```", 1)[0]
         readme_spec = benchmark_spec_from_dict(json.loads('{\n  "dataset"' + block))
         specs = (
             default_synthetic_spec(seed=1),
