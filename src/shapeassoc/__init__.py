@@ -35,8 +35,6 @@ from .estimates import (
     Range,
     TruncatedMean,
     WeightedMean,
-    central,
-    scale,
 )
 from .standardize import (
     Center,

@@ -2,9 +2,12 @@
 
 `verify` throws generated series at a subject (an association measure, a
 similarity recipe, or a dissimilarity spec) and checks each requested property
-up to a tolerance. Failures carry a witness: the exact inputs and transform
-parameters that broke the property, so the report stands on its own, and
-`replay` recomputes its violation through the same trial evaluation.
+up to a tolerance. A subject carries all the harness needs: its `kind`, its
+length `bounds`, the `limits` its values must lie within, and
+`checked(vx, vy)`, the call that evaluates it. Failures carry a witness: the
+exact inputs and transform parameters that broke the property, so the report
+stands on its own, and `replay` recomputes its violation through the same
+trial evaluation.
 
 Each property is defined once, on its `PropertyId` member: the subject kinds
 it applies to, the inputs it draws, its transform parameters and its
@@ -25,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, SpecError
-from .config import to_dict, to_json
+from .config import plain, to_dict, to_json
 from .measures import (
     DissimilaritySpec,
     MeasureSpec,
@@ -40,6 +43,8 @@ _ASSOC = "association"
 _SIM = "similarity"
 _DISSIM = "dissimilarity"
 _ALL = (_ASSOC, _SIM, _DISSIM)
+# the value interval of each kind; a normal dissimilarity narrows its own to (0, 2)
+_LIMITS = {_ASSOC: (-1.0, 1.0), _SIM: (0.0, 1.0), _DISSIM: (0.0, math.inf)}
 
 _SCALE_CHOICES = (1e-3, 0.5, 2.0, 1e3)
 _AFFINE_SLOPES = (-3.0, -1.0, 0.5, 2.0)
@@ -59,20 +64,16 @@ def _affine_params(rng: np.random.Generator) -> dict:
     }
 
 
-def _affine_sign_rule(ev, x, y, p, *_) -> float:
+def _affine_sign_rule(s, x, y, p) -> float:
     px, py = p["scale_x"], p["scale_y"]
-    lhs = ev(px * x + p["offset_x"], py * y + p["offset_y"])
-    return abs(lhs - math.copysign(1.0, px) * math.copysign(1.0, py) * ev(x, y))
+    lhs = s.checked(px * x + p["offset_x"], py * y + p["offset_y"])
+    return abs(lhs - math.copysign(1.0, px) * math.copysign(1.0, py) * s.checked(x, y))
 
 
-def _range_bounds(ev, x, y, p, kind, upper) -> float:
-    value = ev(x, y)
-    if kind == _ASSOC:
-        return max(0.0, abs(value) - 1.0)
-    if kind == _SIM:
-        return max(0.0, -value, value - 1.0)
-    v = max(0.0, -value)
-    return v if upper is None else max(v, value - upper)
+def _range_bounds(s, x, y, p) -> float:
+    lo, hi = s.limits
+    v = s.checked(x, y)
+    return max(0.0, lo - v, v - hi)
 
 
 class PropertyId(enum.Enum):
@@ -84,9 +85,10 @@ class PropertyId(enum.Enum):
     - `inputs`: what a trial draws, "x", "xy", or "constants" (two constant
       series, drawn after an x that they replace);
     - `draw(rng)`: the transform parameters, as a dict;
-    - `violation(ev, x, y, params, kind, upper)`: how far one trial is from
-      the property, 0 when it held exactly. `ev` is the subject's function,
-      `kind` its kind and `upper` a dissimilarity's upper bound, or None.
+    - `violation(subject, x, y, params)`: how far one trial is from the
+      property, 0 when it held exactly. It evaluates the subject through
+      `subject.checked` and reads any other need, like `subject.limits`, off
+      the subject.
 
     A member's position (`index`) seeds its trials, so member order must
     never change: append new members at the end.
@@ -99,55 +101,59 @@ class PropertyId(enum.Enum):
         member.kinds, member.inputs, member.violation, member.draw = kinds, inputs, violation, draw
         return member
 
-    SYMMETRY = "symmetry", _ALL, "xy", lambda ev, x, y, *_: abs(ev(x, y) - ev(y, x))
-    DISSIM_SELF_ZERO = "dissim-self-zero", (_DISSIM,), "x", lambda ev, x, *_: abs(ev(x, x))
-    SIM_REFLEXIVITY = "sim-reflexivity", (_SIM,), "x", lambda ev, x, *_: abs(ev(x, x) - 1.0)
+    SYMMETRY = "symmetry", _ALL, "xy", lambda s, x, y, *_: abs(s.checked(x, y) - s.checked(y, x))
+    DISSIM_SELF_ZERO = "dissim-self-zero", (_DISSIM,), "x", lambda s, x, *_: abs(s.checked(x, x))
+    SIM_REFLEXIVITY = "sim-reflexivity", (_SIM,), "x", lambda s, x, *_: abs(s.checked(x, x) - 1.0)
     ASSOC_REFLEXIVITY = (
-        "assoc-reflexivity", (_ASSOC,), "x", lambda ev, x, *_: abs(ev(x, x) - 1.0)
+        "assoc-reflexivity", (_ASSOC,), "x", lambda s, x, *_: abs(s.checked(x, x) - 1.0)
     )
     INVERSE_REFLEXIVITY = (
-        "inverse-reflexivity", (_ASSOC,), "x", lambda ev, x, *_: abs(ev(-x, x) + 1.0)
+        "inverse-reflexivity", (_ASSOC,), "x", lambda s, x, *_: abs(s.checked(-x, x) + 1.0)
     )
     INVERSE_RELATIONSHIP = (
-        "inverse-relationship", (_ASSOC,), "xy", lambda ev, x, y, *_: abs(ev(-x, y) + ev(x, y))
+        "inverse-relationship", (_ASSOC,), "xy",
+        lambda s, x, y, *_: abs(s.checked(-x, y) + s.checked(x, y)),
     )
     TRANSLATION_INVARIANCE = (
         "translation-invariance", _ALL, "xy",
-        lambda ev, x, y, p, *_: abs(ev(x + p["offset"], y) - ev(x, y)),
+        lambda s, x, y, p: abs(s.checked(x + p["offset"], y) - s.checked(x, y)),
         lambda rng: {"offset": _offset(rng)},
     )
     SCALE_INVARIANCE = (
         "scale-invariance", _ALL, "xy",
-        lambda ev, x, y, p, *_: abs(ev(p["scale"] * x, y) - ev(x, y)),
+        lambda s, x, y, p: abs(s.checked(p["scale"] * x, y) - s.checked(x, y)),
         lambda rng: {"scale": float(rng.choice(_SCALE_CHOICES))},
     )
     AFFINE_SIGN_RULE = "affine-sign-rule", (_ASSOC,), "xy", _affine_sign_rule, _affine_params
     SIGN_PERMUTATION = (
-        "sign-permutation", _ALL, "xy", lambda ev, x, y, *_: abs(ev(-x, y) - ev(x, -y))
+        "sign-permutation", _ALL, "xy",
+        lambda s, x, y, *_: abs(s.checked(-x, y) - s.checked(x, -y)),
     )
     SIGN_CANCELLATION = (
-        "sign-cancellation", _ALL, "xy", lambda ev, x, y, *_: abs(ev(-x, -y) - ev(x, y))
+        "sign-cancellation", _ALL, "xy",
+        lambda s, x, y, *_: abs(s.checked(-x, -y) - s.checked(x, y)),
     )
     COMPLEMENT_OF_REFLECTIONS = (
         "complement-of-reflections", (_SIM,), "xy",
-        lambda ev, x, y, *_: abs(ev(-x, y) - (1.0 - ev(x, y))),
+        lambda s, x, y, *_: abs(s.checked(-x, y) - (1.0 - s.checked(x, y))),
     )
     REFLECTION_INVARIANCE = (
-        "reflection-invariance", (_SIM,), "xy", lambda ev, x, y, *_: abs(ev(-x, y) - ev(x, y))
+        "reflection-invariance", (_SIM,), "xy",
+        lambda s, x, y, *_: abs(s.checked(-x, y) - s.checked(x, y)),
     )
     SIMILARITY_OF_REFLECTIONS = (
-        "similarity-of-reflections", (_SIM,), "x", lambda ev, x, *_: abs(ev(-x, x) - 1.0)
+        "similarity-of-reflections", (_SIM,), "x", lambda s, x, *_: abs(s.checked(-x, x) - 1.0)
     )
     WEAK_SIMILARITY_OF_REFLECTIONS = (
         "weak-similarity-of-reflections", (_SIM,), "x",
-        lambda ev, x, *_: max(0.0, ev(-x, x) - 1.0),
+        lambda s, x, *_: max(0.0, s.checked(-x, x) - 1.0),
     )
     NON_SIMILARITY_OF_REFLECTIONS = (
-        "non-similarity-of-reflections", (_SIM,), "x", lambda ev, x, *_: abs(ev(-x, x))
+        "non-similarity-of-reflections", (_SIM,), "x", lambda s, x, *_: abs(s.checked(-x, x))
     )
     CONSTANT_SERIES_SIMILARITY = (
         "constant-series-similarity", (_SIM,), "constants",
-        lambda ev, x, y, *_: abs(ev(x, y) - 1.0),
+        lambda s, x, y, *_: abs(s.checked(x, y) - 1.0),
     )
     RANGE_BOUNDS = "range-bounds", _ALL, "xy", _range_bounds
 
@@ -171,9 +177,12 @@ class AbsSimilarity:
     kind = _SIM
     measure: MeasureSpec
     bounds = property(lambda self: self.measure.bounds)
+    limits = _LIMITS[_SIM]
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         return abs(associate_values(self.measure, vx, vy))
+
+    checked = evaluate
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,7 @@ class Probe:
     name: str
     min_n: int = 2
     bounds = property(lambda self: (self.min_n, None))
+    limits = property(lambda self: _LIMITS[self.kind])
 
     def __post_init__(self):
         if self.kind not in _ALL:
@@ -200,28 +210,14 @@ class Probe:
             raise DomainError(f"probe {self.name!r} returned NaN")
         return value
 
+    checked = evaluate
 
-def _evaluator(subject) -> Callable[[np.ndarray, np.ndarray], float]:
-    # measures and dissimilarities go through their module-level entry points;
-    # associate_values holds the constant-series check
-    if isinstance(subject, MeasureSpec):
-        return lambda vx, vy: associate_values(subject, vx, vy)
-    if isinstance(subject, DissimilaritySpec):
-        return lambda vx, vy: dissimilarity_values(subject, vx, vy)
-    return subject.evaluate
-
-
-def _upper(subject) -> float | None:
-    """Upper bound of a dissimilarity whose standardized vectors are unit."""
-    if isinstance(subject, DissimilaritySpec) and subject.normal:
-        return 2.0
-    return None
+    def to_dict(self) -> dict:
+        return {"kind": "probe", "name": self.name}
 
 
 def describe_subject(subject) -> dict:
-    if isinstance(subject, Probe):
-        return {"subject": subject.kind, "kind": "probe", "name": subject.name}
-    return {"subject": subject.kind, **to_dict(subject)}
+    return {"subject": subject.kind, **plain(subject)}
 
 
 # --- deterministic input generation -------------------------------------------
@@ -251,10 +247,10 @@ def _draw_series(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
     return v
 
 
-def _trial(prop: PropertyId, ev, kind: str, upper: float | None, x, y, params: dict):
+def _trial(prop: PropertyId, subject, x, y, params: dict):
     """(violation, note) of one trial; a DomainError or a NaN is an infinite violation."""
     try:
-        v = prop.violation(ev, x, y, params, kind, upper)
+        v = prop.violation(subject, x, y, params)
     except DomainError as exc:
         return math.inf, f"raised: {exc}"
     return (math.inf, "violation is NaN") if math.isnan(v) else (v, "")
@@ -365,11 +361,9 @@ def verify(
         for p in props:
             if not isinstance(p, PropertyId):
                 raise SpecError(f"not a PropertyId: {p!r}")
-    ev = _evaluator(subject)
     min_n, exact_n = subject.bounds
     lo = exact_n or max(lo_req, min_n)
     hi = exact_n or max(hi_req, lo)
-    upper = _upper(subject)
 
     def check(prop: PropertyId) -> PropertyResult:
         if kind not in prop.kinds:
@@ -386,7 +380,7 @@ def verify(
                 x, y = np.full(n, q), np.full(n, r)
             params = prop.draw(rng)
             try:
-                v, note = _trial(prop, ev, kind, upper, x, y, params)
+                v, note = _trial(prop, subject, x, y, params)
             except ConstantSeriesError:
                 if prop.inputs != "constants":
                     raise
@@ -417,8 +411,7 @@ def replay(subject, witness: Witness) -> float:
     params = dict(witness.params)
     x = np.asarray(params.pop("x"), dtype=np.float64)
     y = np.asarray(params.pop("y"), dtype=np.float64) if "y" in params else None
-    ev, upper = _evaluator(subject), _upper(subject)
-    return _trial(witness.property, ev, subject.kind, upper, x, y, params)[0]
+    return _trial(witness.property, subject, x, y, params)[0]
 
 
 # --- built-in coverage suite ------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,14 +29,6 @@ from .errors import ShapeAssocError
 from .measures import MeasureSpec, associate, association_matrix
 from .series import SeriesSet
 from .standardize import PRESETS, Standardization, standardize
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("SHAPEASSOC_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ShapeAssocError(f"SHAPEASSOC_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_json(path: str):
@@ -109,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--props", default="all", help="'all', 'sam', or comma-separated property ids")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=60)
@@ -118,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="clustering benchmark against known clusters")
     p.add_argument("--config", default=None, help="benchmark JSON config")
     p.add_argument("--synthetic", action="store_true", help="run the default synthetic benchmark")
-    p.add_argument("--seed", type=int, default=None, help="seed for --synthetic")
+    p.add_argument("--seed", type=int, default=0, help="seed for --synthetic")
     p.add_argument("--json", dest="json_path", default=None)
     p.add_argument("--output", default=None, help="text report file (default stdout)")
     return parser
@@ -176,13 +167,12 @@ def _cmd_cluster(args) -> int:
 def _cmd_axioms(args) -> int:
     measure = _spec_from_arg(args.measure, MeasureSpec)
     props = _parse_props(args.props)
-    seed = args.seed if args.seed is not None else _default_seed()
     report = ax.verify(
         measure,
         properties=props,
         trials=args.trials,
         n_range=(args.n_min, args.n_max),
-        seed=seed,
+        seed=args.seed,
         tol=args.tol,
     )
     sys.stdout.write(report.to_text())
@@ -195,8 +185,7 @@ def _cmd_bench(args) -> int:
     if bool(args.config) == bool(args.synthetic):
         raise ShapeAssocError("pass exactly one of --config or --synthetic")
     if args.synthetic:
-        seed = args.seed if args.seed is not None else _default_seed()
-        spec = default_synthetic_spec(seed)
+        spec = default_synthetic_spec(args.seed)
     else:
         spec = benchmark_spec_from_dict(_load_json(args.config))
     report = run_benchmark(spec)

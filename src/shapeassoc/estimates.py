@@ -3,9 +3,11 @@
 Every central estimate maps a series to a single number lying between its
 minimum and maximum. Estimates are small frozen spec objects; each class
 carries its JSON tag, its evaluation (`evaluate`), its length bounds and the
-algebraic traits that standardizations and measures rely on. `central` and
-`scale` evaluate them. `minkowski_norm` is the one order-r norm, used by
-MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of `measures`.
+algebraic traits that standardizations and measures rely on.
+`central_values` and `scale_values` evaluate them on a value vector, with
+their length and overflow checks. `minkowski_norm` is the one order-r norm,
+used by MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of
+`measures`.
 
 - translation additive:  E(x + q) = E(x) + q
 - scale proportional:    E(p * x) = p * E(x) for p > 0
@@ -21,7 +23,6 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .series import TimeSeries
 
 
 def _check_weights(weights) -> tuple[float, ...]:
@@ -285,10 +286,6 @@ def central_values(spec: CentralEstimate, v: np.ndarray) -> float:
     return spec.evaluate(v)
 
 
-def central(spec: CentralEstimate, x: TimeSeries) -> float:
-    return central_values(spec, x.values)
-
-
 def scale_values(spec: ScaleEstimate, v: np.ndarray) -> float:
     """Evaluate a scale estimate on a raw value vector."""
     return finite_scale(spec, spec.evaluate(v))
@@ -300,7 +297,3 @@ def finite_scale(spec: ScaleEstimate, s: float) -> float:
     if not math.isfinite(s):
         raise DomainError(f"{spec.tag} scale is not finite ({s}); the values overflow float64")
     return s
-
-
-def scale(spec: ScaleEstimate, x: TimeSeries) -> float:
-    return scale_values(spec, x.values)

@@ -49,6 +49,7 @@ class DissimilaritySpec:
     r: float
     standardization: Standardization
     bounds = property(lambda self: self.standardization.bounds)
+    limits = property(lambda self: (0.0, 2.0 if self.normal else math.inf))
 
     def __post_init__(self):
         if not (np.isfinite(self.r) and self.r >= 1.0):
@@ -63,6 +64,9 @@ class DissimilaritySpec:
         fx = standardize_values(self.standardization, vx)
         fy = standardize_values(self.standardization, vy)
         return minkowski_norm(fx - fy, self.r)
+
+    def checked(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        return dissimilarity_values(self, vx, vy)
 
 
 # --- transforms between dissimilarity and similarity ------------------------
@@ -161,12 +165,12 @@ def grow(spec: GrowthTransform, d: float) -> float:
 # --- dissimilarity and similarity evaluation ---------------------------------
 
 
-def _on_pair(evaluate, spec, x: TimeSeries, y: TimeSeries) -> float:
-    """evaluate(spec, x.values, y.values); an error names the pair."""
+def _on_pair(spec, x: TimeSeries, y: TimeSeries) -> float:
+    """spec.checked(x.values, y.values); an error names the pair."""
     try:
         if x.n != y.n:
             raise ShapeError(f"series {x.id!r} (n={x.n}) and {y.id!r} (n={y.n}) differ in length")
-        return evaluate(spec, x.values, y.values)
+        return spec.checked(x.values, y.values)
     except (ConstantSeriesError, DomainError, SpecError, ShapeError) as exc:
         raise type(exc)(f"pair ({x.id!r}, {y.id!r}): {exc}") from exc
 
@@ -180,7 +184,7 @@ def dissimilarity_values(spec: DissimilaritySpec, vx: np.ndarray, vy: np.ndarray
 
 def dissimilarity(spec: DissimilaritySpec, x: TimeSeries, y: TimeSeries) -> float:
     """D(x, y) >= 0, zero exactly for identically standardized series."""
-    return _on_pair(dissimilarity_values, spec, x, y)
+    return _on_pair(spec, x, y)
 
 
 @dataclass(frozen=True)
@@ -192,13 +196,16 @@ class SimilarityRecipe:
     dissimilarity: DissimilaritySpec
     decay: DecayTransform
     bounds = property(lambda self: self.dissimilarity.bounds)
+    limits = (0.0, 1.0)
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         return decay(self.decay, dissimilarity_values(self.dissimilarity, vx, vy))
 
+    checked = evaluate
+
 
 def similarity(spec: SimilarityRecipe, x: TimeSeries, y: TimeSeries) -> float:
-    return _on_pair(SimilarityRecipe.evaluate, spec, x, y)
+    return _on_pair(spec, x, y)
 
 
 # --- association constructors -------------------------------------------------
@@ -216,6 +223,11 @@ class MeasureSpec:
     kind: ClassVar[str] = "association"
     verified = True
     bounds = (2, None)
+    limits = (-1.0, 1.0)
+
+    def checked(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        # a module global, so a rebinding of associate_values is seen here
+        return associate_values(self, vx, vy)
 
 
 def _require_branch_preconditions(dissim: DissimilaritySpec, what: str) -> None:
@@ -392,7 +404,7 @@ def associate_values(spec: MeasureSpec, vx: np.ndarray, vy: np.ndarray) -> float
 def associate(spec: MeasureSpec, x: TimeSeries, y: TimeSeries) -> float:
     """Signed association in [-1, 1]; positive for similar shapes, negative
     for reflected ones."""
-    return _on_pair(associate_values, spec, x, y)
+    return _on_pair(spec, x, y)
 
 
 @dataclass(frozen=True, eq=False)

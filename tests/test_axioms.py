@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from shapeassoc import (
     replay,
     verify,
 )
+from shapeassoc import measures
 from shapeassoc.axioms import SAM_PROPERTIES, describe_subject
 
 from implications import implication_checks
@@ -37,6 +39,7 @@ from implications import implication_checks
 UNIT_MEAN = preset("unit-mean")
 D2_UNIT = DissimilaritySpec(2.0, UNIT_MEAN)
 RECIPE_UNIT = SimilarityRecipe(D2_UNIT, RationalDecay(1.0))
+_KINDS = ("association", "similarity", "dissimilarity")
 MIN_CENTER_BRANCH = SimilarityBranch(
     SimilarityRecipe(DissimilaritySpec(2.0, Center(Min())), RationalDecay(1.0))
 )
@@ -66,6 +69,83 @@ class TestKinds:
 
         for subject in (Pearson(), D2_UNIT, RECIPE_UNIT, AbsSimilarity(Pearson())):
             json.dumps(describe_subject(subject))
+
+
+def _per_kind_range_violation(value: float, kind: str, upper: float | None) -> float:
+    # the range-bounds formula that branched on kind, kept as the oracle of `limits`
+    if kind == "association":
+        return max(0.0, abs(value) - 1.0)
+    if kind == "similarity":
+        return max(0.0, -value, value - 1.0)
+    v = max(0.0, -value)
+    return v if upper is None else max(v, value - upper)
+
+
+def _identical(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestSubjectProtocol:
+    def test_range_bounds_matches_the_per_kind_formula(self):
+        d2_center = DissimilaritySpec(2.0, Center(ArithmeticMean()))
+        assert D2_UNIT.normal and not d2_center.normal
+        # (subject whose limits are used, its kind, the old upper bound)
+        subjects = [
+            (Pearson(), "association", None),
+            (RECIPE_UNIT, "similarity", None),
+            (AbsSimilarity(Pearson()), "similarity", None),
+            (D2_UNIT, "dissimilarity", 2.0),
+            (d2_center, "dissimilarity", None),
+        ]
+        subjects += [(Probe(kind, None, "p"), kind, None) for kind in _KINDS]
+        points = (-1.0, -0.0, 0.0, 1.0, 2.0)
+        values = list(points) + [math.nextafter(p, to) for p in points for to in (-1e9, 1e9)]
+        values += np.random.default_rng(71).uniform(-3.0, 3.0, 300).tolist()
+        values += [-math.inf, math.inf, -1e300, 1e300]
+        x = y = np.arange(3.0)
+        for subject, kind, upper in subjects:
+            for value in values:
+                stand_in = SimpleNamespace(limits=subject.limits, checked=lambda vx, vy: value)
+                got = PropertyId.RANGE_BOUNDS.violation(stand_in, x, y, {})
+                want = _per_kind_range_violation(value, kind, upper)
+                assert _identical(got, want), (subject, value, got, want)
+
+    def test_every_coverage_subject_exposes_the_protocol(self):
+        for case in coverage_suite():
+            s = case.subject
+            assert s.kind in _KINDS, case.label
+            min_n, exact_n = s.bounds
+            assert min_n >= 2 and exact_n is None, case.label
+            lo, hi = s.limits
+            assert lo < hi, case.label
+            assert callable(s.checked), case.label
+
+    def test_checked_goes_through_the_module_entry_points(self, monkeypatch):
+        # a tracer that rebinds these module globals must see every checked call
+        calls = []
+
+        def counted(name):
+            original = getattr(measures, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        for name in ("associate_values", "dissimilarity_values"):
+            monkeypatch.setattr(measures, name, counted(name))
+        x, y = np.array([1.0, 3.0, 2.0]), np.array([2.0, 1.0, 5.0])
+        assert Pearson().checked(x, y) == Pearson().evaluate(x, y)
+        assert calls == ["associate_values"]
+        D2_UNIT.checked(x, y)
+        assert calls == ["associate_values", "dissimilarity_values"]
+
+    def test_probe_is_described_by_its_kind_and_name(self):
+        probe = Probe("dissimilarity", lambda vx, vy: 0.0, "zero", min_n=4)
+        want = {"subject": "dissimilarity", "kind": "probe", "name": "zero"}
+        assert describe_subject(probe) == want
+        assert probe.limits == (0.0, math.inf)
 
 
 class TestVerify:

@@ -255,16 +255,9 @@ class TestAxioms:
         assert code == 1 and captured.out == ""
         assert captured.err.count("\n") == 1 and "tol must be >= 0" in captured.err
 
-    def test_seed_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHAPEASSOC_SEED", "7")
+    def test_seed_defaults_to_zero(self, capsys):
         run("axioms", "--measure", "pearson", "--props", "symmetry", "--trials", "10")
-        with_env = capsys.readouterr().out
-        assert "seed=7" in with_env
-
-    def test_bad_seed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SHAPEASSOC_SEED", "not-a-number")
-        code = run("axioms", "--measure", "pearson", "--props", "symmetry", "--trials", "10")
-        assert code == 1
+        assert "seed=0" in capsys.readouterr().out
 
 
 class TestBench:
