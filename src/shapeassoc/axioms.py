@@ -350,6 +350,8 @@ def verify(
         raise SpecError(f"trials must be >= 1, got {trials}")
     if not tol >= 0.0:  # a NaN tol would pass every property
         raise SpecError(f"tol must be >= 0, got {tol!r}")
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
     lo_req, hi_req = int(n_range[0]), int(n_range[1])
     if not 2 <= lo_req <= hi_req:
         raise SpecError(f"bad n_range {n_range!r}")

@@ -109,6 +109,8 @@ class SyntheticDataset(DatasetSpec):
     clusters: tuple[SyntheticCluster, ...] = DEFAULT_CLUSTERS
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise SpecError(f"synthetic seed must be >= 0, got {self.seed}")
         if self.length < 8:
             raise SpecError(f"synthetic length must be >= 8, got {self.length}")
         if not 0.0 <= self.noise_scale < 1.0:

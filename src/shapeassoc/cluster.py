@@ -41,8 +41,8 @@ class SimilarityMatrix:
         object.__setattr__(self, "ids", ids)
         v = np.array(self.values, dtype=np.float64)
         k = len(ids)
-        if len(set(ids)) != k:
-            raise SpecError("similarity matrix ids must be unique")
+        if not all(isinstance(i, str) and i for i in ids) or len(set(ids)) != k:
+            raise SpecError("similarity matrix ids must be unique non-empty strings")
         if v.shape != (k, k):
             raise SpecError(f"matrix shape {v.shape} does not match {k} ids")
         if not np.all(np.isfinite(v)):
@@ -72,10 +72,6 @@ class MergeStep:
     right: tuple[str, ...]
     level: float
 
-    @property
-    def members(self) -> tuple[str, ...]:
-        return self.left + self.right
-
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
@@ -85,9 +81,10 @@ class Dendrogram:
     merges: tuple[MergeStep, ...]
 
     def __post_init__(self):
-        k = len(self.leaves)
-        if not k or len(set(self.leaves)) != k:
-            raise SpecError("dendrogram leaves must be non-empty and unique")
+        leaves = self.leaves
+        k = len(leaves)
+        if not k or not all(isinstance(i, str) and i for i in leaves) or len(set(leaves)) != k:
+            raise SpecError("dendrogram leaves must be a non-empty tuple of unique non-empty strings")
         if len(self.merges) != k - 1:
             raise SpecError(f"{k} leaves need {k - 1} merges, got {len(self.merges)}")
         levels = [m.level for m in self.merges]
@@ -100,7 +97,7 @@ class Dendrogram:
                 raise SpecError(f"merge {t + 1} has a non-finite level {m.level!r}")
             left, right = frozenset(m.left), frozenset(m.right)
             pair = current.pop(left, None), current.pop(right, None)
-            if None in pair or len(left) + len(right) != len(m.members):
+            if None in pair or len(left) + len(right) != len(m.left) + len(m.right):
                 raise SpecError(f"merge {t + 1} does not join two current clusters")
             current[left | right] = k + t
             children.append(pair)
@@ -110,9 +107,10 @@ class Dendrogram:
         return tuple(m.level for m in self.merges)
 
     def nodes(self) -> tuple[frozenset, ...]:
-        """Every cluster the tree contains: singletons plus each merge result."""
+        """Every cluster the tree contains, by node: leaf i, then merge t at k + t."""
         out = [frozenset([leaf]) for leaf in self.leaves]
-        out.extend(frozenset(m.members) for m in self.merges)
+        for a, b in self._children:
+            out.append(out[a] | out[b])
         return tuple(out)
 
     def to_json(self) -> str:
@@ -216,18 +214,18 @@ def cut(tree: Dendrogram, k: int) -> tuple[tuple[str, ...], ...]:
     """Partition into k clusters by undoing the k-1 weakest merges.
 
     Levels are non-increasing, so this keeps the first len(leaves)-k merges;
-    a leaf's cluster is the members of the last kept merge that holds it, or
-    the leaf alone. Clusters come back ordered by first appearance of a
-    member, members in leaf order.
+    a leaf's cluster is the highest kept node above it, found in O(k) by one
+    walk down the node table. Clusters come back ordered by first appearance
+    of a member, members in leaf order.
     """
     total = len(tree.leaves)
     if not 1 <= k <= total:
         raise SpecError(f"cut size must be in 1..{total}, got {k}")
-    last: dict[str, int] = {}  # leaf -> the last kept merge that holds it
-    for i, m in enumerate(tree.merges[: total - k]):
-        for leaf in m.members:
-            last[leaf] = i
-    groups: dict[object, list[str]] = {}
-    for leaf in tree.leaves:
-        groups.setdefault(last.get(leaf, leaf), []).append(leaf)
+    top = list(range(2 * total - k))  # node -> the highest kept node above it
+    for node in reversed(range(total, len(top))):
+        a, b = tree._children[node - total]
+        top[a] = top[b] = top[node]
+    groups: dict[int, list[str]] = {}
+    for i, leaf in enumerate(tree.leaves):
+        groups.setdefault(top[i], []).append(leaf)
     return tuple(tuple(g) for g in groups.values())

@@ -52,7 +52,7 @@ def main() -> int:
             print(f"matrix {n} (k={k}): node sets differ", file=sys.stderr)
             return 1
         for t, merge in enumerate(tree.merges):
-            if not abs(merge.level - theirs[frozenset(merge.members)]) <= 1e-15:
+            if not abs(merge.level - theirs[frozenset(merge.left + merge.right)]) <= 1e-15:
                 print(f"matrix {n} (k={k}): merge {t + 1} level differs", file=sys.stderr)
                 return 1
     print(f"{len(SIZES)} matrices match")

@@ -266,6 +266,11 @@ class TestVerify:
         with pytest.raises(SpecError, match="tol must be >= 0"):
             verify(Pearson(), (PropertyId.SYMMETRY,), trials=5, tol=tol)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_is_refused_by_name(self, seed):
+        with pytest.raises(SpecError, match=f"seed must be >= 0, got {seed}"):
+            verify(Pearson(), (PropertyId.SYMMETRY,), trials=5, seed=seed)
+
     def test_infinite_tol_passes_a_failing_subject(self):
         prop = PropertyId.INVERSE_RELATIONSHIP
         report = verify(MIN_CENTER_BRANCH, (prop,), trials=120, seed=0, tol=math.inf)

@@ -63,6 +63,10 @@ class TestSyntheticGenerator:
             SyntheticDataset(length=4)
         with pytest.raises(SpecError):
             SyntheticDataset(noise_scale=1.0)
+        with pytest.raises(SpecError, match="synthetic seed must be >= 0, got -1"):
+            SyntheticDataset(seed=-1)
+        with pytest.raises(SpecError, match="synthetic seed must be >= 0, got -3"):
+            benchmark_spec_from_dict({"dataset": {"kind": "synthetic", "seed": -3}})
         with pytest.raises(SpecError):
             SyntheticCluster(1)
         with pytest.raises(SpecError):

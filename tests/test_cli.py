@@ -203,6 +203,15 @@ class TestCluster:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "line 2, field 3: non-finite" in err, err
 
+    def test_empty_id_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text("id,,b\n,1,0.5\nb,0.5,1\n")
+        for fmt in ("newick", "text", "json"):
+            assert run("cluster", "--matrix", str(p), "--format", fmt) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "shapeassoc: error: similarity matrix ids must be unique non-empty strings\n"
+
     def test_missing_matrix_file(self, tmp_path, capsys):
         code = run("cluster", "--matrix", str(tmp_path / "none.csv"))
         assert code == 1
@@ -255,6 +264,12 @@ class TestAxioms:
         assert code == 1 and captured.out == ""
         assert captured.err.count("\n") == 1 and "tol must be >= 0" in captured.err
 
+    def test_negative_seed_exits_one(self, capsys):
+        code = run("axioms", "--measure", "pearson", "--props", "sam", "--trials", "5", "--seed", "-1")
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "shapeassoc: error: seed must be >= 0, got -1\n"
+
     def test_seed_defaults_to_zero(self, capsys):
         run("axioms", "--measure", "pearson", "--props", "symmetry", "--trials", "10")
         assert "seed=0" in capsys.readouterr().out
@@ -295,6 +310,18 @@ class TestBench:
         code = run("bench", "--config", str(cfg))
         assert code == 2
         assert "UNEXPECTED" in capsys.readouterr().out
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        assert run("bench", "--synthetic", "--seed", "-1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "shapeassoc: error: synthetic seed must be >= 0, got -1\n"
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"dataset": {"kind": "synthetic", "seed": -3}}))
+        assert run("bench", "--config", str(cfg)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "shapeassoc: error: synthetic seed must be >= 0, got -3\n"
 
     def test_requires_exactly_one_source(self, capsys):
         assert run("bench") == 1

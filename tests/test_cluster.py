@@ -80,6 +80,45 @@ def _reference_cut(tree: Dendrogram, k: int) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(g) for g in groups.values())
 
 
+def _reference_nodes(tree: Dendrogram) -> tuple[frozenset, ...]:
+    """The former nodes(), read off the merge sides: the node-for-node oracle."""
+    out = [frozenset([leaf]) for leaf in tree.leaves]
+    out.extend(frozenset(m.left + m.right) for m in tree.merges)
+    return tuple(out)
+
+
+def chain(k):
+    """The k-leaf tree that joins o0 and o1, then adds one leaf per merge."""
+    leaves = tuple(f"o{i}" for i in range(k))
+    return Dendrogram(
+        leaves, tuple(MergeStep(leaves[: t + 1], (leaves[t + 1],), 1.0 - t / k) for t in range(k - 1))
+    )
+
+
+# Sides in either order, a side listed out of leaf order, and equal levels.
+HAND_BUILT = (
+    Dendrogram(("a",), ()),
+    Dendrogram(
+        ("a", "b", "c", "d"),
+        (
+            MergeStep(("c",), ("d",), 0.9),
+            MergeStep(("b",), ("a",), 0.8),
+            MergeStep(("c", "d"), ("b", "a"), 0.1),
+        ),
+    ),
+    Dendrogram(
+        ("a", "b", "c", "d", "e"),
+        (
+            MergeStep(("e",), ("a",), 0.7),
+            MergeStep(("d",), ("e", "a"), 0.7),
+            MergeStep(("c",), ("b",), 0.5),
+            MergeStep(("c", "b"), ("a", "d", "e"), 0.5),
+        ),
+    ),
+    chain(6),
+)
+
+
 def sym(ids, entries):
     """Build a SimilarityMatrix from {(i, j): s} over index pairs."""
     k = len(ids)
@@ -151,6 +190,9 @@ class TestSimilarityMatrix:
             SimilarityMatrix(("a", "b"), np.array([[0.5, 0.2], [0.2, 0.5]]))
         with pytest.raises(SpecError):
             SimilarityMatrix(("a", "b"), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        for ids in (("a", ""), ("a", 2), (None, "b")):
+            with pytest.raises(SpecError, match="ids must be unique non-empty strings"):
+                SimilarityMatrix(ids, np.eye(2))
 
 
 class TestSingleLinkage:
@@ -264,6 +306,8 @@ class TestDendrogram:
             ("merge 1 ", abc, (MergeStep(("a", "a"), ("b",), 0.5), MergeStep(("a", "b"), ("c",), 0.4))),
             ("non-empty", (), ()),
             ("unique", ("a", "a"), (MergeStep(("a",), ("a",), 0.5),)),
+            ("non-empty strings", ("a", ""), (MergeStep(("a",), ("",), 0.5),)),
+            ("non-empty strings", ("a", 2), (MergeStep(("a",), (2,), 0.5),)),
             (
                 "merge 1 has a non-finite",
                 abc,
@@ -279,6 +323,35 @@ class TestDendrogram:
         assert frozenset({"1", "2"}) in tree.nodes()
         assert frozenset({"1", "2", "3"}) in tree.nodes()
         assert frozenset({"1", "3"}) not in tree.nodes()
+
+    @pytest.mark.parametrize("step", [None, 1 / 2, 1 / 3, 1 / 5])
+    def test_nodes_match_reference_node_for_node(self, step):
+        rng = np.random.default_rng(70)
+        trees = list(HAND_BUILT)
+        for _ in range(60):
+            k = int(rng.integers(2, 41))
+            v = rng.uniform(0.0, 1.0, (k, k))
+            if step is not None:  # tie-heavy: entries on a coarse grid
+                v = np.round(v / step) * step
+            trees.append(single_linkage(from_upper(v)))
+        for tree in trees:
+            assert tree.nodes() == _reference_nodes(tree)
+
+    def test_contains_cluster_on_nodes_and_on_other_subsets(self):
+        rng = np.random.default_rng(71)
+        trees = list(HAND_BUILT)
+        trees += [single_linkage(random_matrix(rng, int(rng.integers(2, 13)))) for _ in range(40)]
+        others = 0
+        for tree in trees:
+            nodes = set(_reference_nodes(tree))
+            assert all(contains_cluster(tree, node) for node in nodes)
+            for _ in range(20):
+                size = int(rng.integers(1, len(tree.leaves) + 1))
+                subset = frozenset(rng.choice(tree.leaves, size, replace=False).tolist())
+                if subset not in nodes:
+                    others += 1
+                    assert not contains_cluster(tree, subset)
+        assert others > 200
 
     def test_contains_cluster(self):
         tree = single_linkage(THREE)
@@ -312,6 +385,19 @@ class TestDendrogram:
             tree = single_linkage(from_upper(v))
             for size in range(1, k + 1):
                 assert cut(tree, size) == _reference_cut(tree, size)
+
+    def test_cut_hand_built_trees_matches_reference(self):
+        for tree in HAND_BUILT:
+            for size in range(1, len(tree.leaves) + 1):
+                assert cut(tree, size) == _reference_cut(tree, size)
+
+    def test_cut_of_a_long_chain_is_linear(self):
+        tree = chain(1000)
+        start = time.perf_counter()
+        groups = [cut(tree, size) for size in range(1, 201)]
+        assert time.perf_counter() - start < 1.0
+        for size in (1, 2, 3, 57, 200):
+            assert groups[size - 1] == _reference_cut(tree, size)
 
     def test_newick(self):
         assert single_linkage(THREE).to_newick() == "((1:0.1,2:0.1):0.7,3:0.7);"

@@ -92,6 +92,18 @@ class TestMinkowskiNorm:
             a = np.abs(d)
             assert minkowski_norm(d, 2.0) == float(np.sqrt(np.dot(a, a)))
 
+    def test_order_one_equals_the_plain_sum_bit_for_bit(self):
+        # at r = 1 the general path is the plain sum of |d_i|, bit for bit
+        rng = np.random.default_rng(69)
+        for t in range(2000):
+            n = int(rng.integers(1, 40))
+            if t % 2 == 0:  # magnitudes from 1e-300 to 1e300 within one vector
+                magnitude = 10.0 ** rng.integers(-300, 301, n)
+            else:
+                magnitude = 10.0 ** rng.integers(-300, 301)
+            d = rng.standard_normal(n) * magnitude
+            assert minkowski_norm(d, 1.0) == float(np.abs(d).sum())
+
 
 class TestParameterValidation:
     def test_index_bounds(self):
