@@ -84,7 +84,7 @@ class Dendrogram:
         leaves = self.leaves
         k = len(leaves)
         if not k or not all(isinstance(i, str) and i for i in leaves) or len(set(leaves)) != k:
-            raise SpecError("dendrogram leaves must be a non-empty tuple of unique non-empty strings")
+            raise SpecError("dendrogram leaves must be one or more unique non-empty strings")
         if len(self.merges) != k - 1:
             raise SpecError(f"{k} leaves need {k - 1} merges, got {len(self.merges)}")
         levels = [m.level for m in self.merges]
