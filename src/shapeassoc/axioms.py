@@ -13,16 +13,22 @@ Each property is defined once, on its `PropertyId` member: the subject kinds
 it applies to, the inputs it draws, its transform parameters and its
 violation formula.
 
-Trial generation is fully determined by (seed, property, trial index); two
-runs with the same arguments produce byte-identical reports.
+A trial's inputs are fully determined by (seed, property, trial index) and
+the length range: `n_range` raised to the subject's least length, or the
+subject's exact length. Two runs with the same arguments produce
+byte-identical reports, and subjects with different `bounds` see different
+series. Subjects with the same range share each trial's inputs: they are
+drawn once and kept, read-only, in a cache of bounded size.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -247,6 +253,31 @@ def _draw_series(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
     return v
 
 
+# Criterion 3 of the acceptance suite draws 3 seeds x 7 properties x 200 trials
+# over 2 length ranges: 8,400 trials of about 1 KB each. Its subjects switch
+# between the two ranges, so a key comes back after all the others: a smaller
+# LRU bound would evict every draw before its reuse.
+@functools.lru_cache(maxsize=8400)
+def _draw_trial(seed: int, prop: PropertyId, t: int, exact_n: int | None, lo: int, hi: int):
+    """The inputs (x, y, params) of trial t of `prop`; y is None for an "x" property.
+
+    They are shared by every subject that asks for them, so the arrays are
+    read-only and params is a read-only mapping.
+    """
+    rng = np.random.default_rng([seed, prop.index, t])
+    n = int(exact_n if exact_n is not None else rng.integers(lo, hi + 1))
+    style = _STYLES[t % 10]
+    x = _draw_series(rng, n, style)
+    y = _draw_series(rng, n, style) if prop.inputs == "xy" else None
+    if prop.inputs == "constants":
+        q, r = rng.uniform(-10.0, 10.0, 2)
+        x, y = np.full(n, q), np.full(n, r)
+    for v in (x, y):
+        if v is not None:
+            v.flags.writeable = False
+    return x, y, MappingProxyType(prop.draw(rng))
+
+
 def _trial(prop: PropertyId, subject, x, y, params: dict):
     """(violation, note) of one trial; a DomainError or a NaN is an infinite violation."""
     try:
@@ -328,6 +359,13 @@ class PropertyReport:
         return "\n".join(lines) + "\n"
 
 
+def _integer(name: str, value) -> int:
+    # a bool or float would also key the trial cache as an int
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def applicable_properties(subject) -> tuple[PropertyId, ...]:
     return tuple(p for p in PropertyId if subject.kind in p.kinds)
 
@@ -342,17 +380,27 @@ def verify(
 ) -> PropertyReport:
     """Check properties on randomized inputs; see module docstring.
 
+    `seed`, `trials` and both ends of `n_range` must be integers (a bool is
+    not one). The arrays a subject is called with are read-only, because
+    other subjects share them: a subject that writes into one raises numpy's
+    ValueError, which `verify` does not catch.
+
     Properties that do not apply to the subject's kind (or that need inputs
     the subject refuses, like constants under a scale-invariant
     standardization) come back "not-applicable", never an exception.
     """
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    try:
+        lo_req, hi_req = n_range
+    except (TypeError, ValueError):
+        raise SpecError(f"n_range must be two integers, got {n_range!r}") from None
+    lo_req, hi_req = _integer("n_range", lo_req), _integer("n_range", hi_req)
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
     if not tol >= 0.0:  # a NaN tol would pass every property
         raise SpecError(f"tol must be >= 0, got {tol!r}")
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
-    lo_req, hi_req = int(n_range[0]), int(n_range[1])
     if not 2 <= lo_req <= hi_req:
         raise SpecError(f"bad n_range {n_range!r}")
     kind = subject.kind
@@ -372,15 +420,7 @@ def verify(
             return PropertyResult(prop, "not-applicable", 0, 0.0)
         worst, witness = 0.0, None
         for t in range(trials):
-            rng = np.random.default_rng([seed, prop.index, t])
-            n = int(exact_n if exact_n is not None else rng.integers(lo, hi + 1))
-            style = _STYLES[t % 10]
-            x = _draw_series(rng, n, style)
-            y = _draw_series(rng, n, style) if prop.inputs == "xy" else None
-            if prop.inputs == "constants":
-                q, r = rng.uniform(-10.0, 10.0, 2)
-                x, y = np.full(n, q), np.full(n, r)
-            params = prop.draw(rng)
+            x, y, params = _draw_trial(seed, prop, t, exact_n, lo, hi)
             try:
                 v, note = _trial(prop, subject, x, y, params)
             except ConstantSeriesError:

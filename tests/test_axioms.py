@@ -12,6 +12,7 @@ from shapeassoc import (
     Center,
     CenterScale,
     ComplementDecay,
+    CosineStandardized,
     DissimilaritySpec,
     GeneralizedMidrangeCorrelation,
     Min,
@@ -27,12 +28,13 @@ from shapeassoc import (
     WeightedMean,
     applicable_properties,
     coverage_suite,
+    default_grid_measures,
     preset,
     replay,
     verify,
 )
 from shapeassoc import measures
-from shapeassoc.axioms import SAM_PROPERTIES, describe_subject
+from shapeassoc.axioms import _STYLES, SAM_PROPERTIES, _draw_series, _draw_trial, describe_subject
 
 from implications import implication_checks
 
@@ -254,8 +256,7 @@ class TestVerify:
         assert report.passed()
 
     def test_fixed_length_subject_reports_its_length(self):
-        w = WeightedMean((0.2,) * 5)
-        subject = MinkowskiBranch(DissimilaritySpec(2.0, CenterScale(w, MinkowskiDeviation(2.0, w))))
+        subject = _fixed_length_branch()
         report = verify(subject, (PropertyId.SYMMETRY,), trials=5)
         assert report.n_range == (5, 5)
         assert "n_range=5..5" in report.to_text()
@@ -283,6 +284,131 @@ class TestVerify:
             verify(Pearson(), n_range=(1, 0))
         with pytest.raises(SpecError):
             verify(Pearson(), properties=("symmetry",))
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"seed": True}, "seed"),
+            ({"seed": 1.0}, "seed"),
+            ({"seed": "1"}, "seed"),
+            ({"seed": None}, "seed"),
+            ({"trials": True}, "trials"),
+            ({"trials": 2.5}, "trials"),
+            ({"trials": np.float64(3.0)}, "trials"),
+            ({"n_range": (3.7, 10.2)}, "n_range"),
+            ({"n_range": (3, np.bool_(True))}, "n_range"),
+            ({"n_range": (3, 10, 99)}, "n_range"),
+            ({"n_range": (3,)}, "n_range"),
+            ({"n_range": 10}, "n_range"),
+        ],
+    )
+    def test_non_integer_arguments_are_refused_by_name(self, kwargs, name):
+        with pytest.raises(SpecError, match=f"^{name} must be"):
+            verify(Pearson(), (PropertyId.SYMMETRY,), **{"trials": 5, **kwargs})
+
+    def test_a_float_seed_is_refused_with_a_warm_cache_too(self):
+        verify(Pearson(), (PropertyId.SYMMETRY,), trials=5, seed=1)
+        with pytest.raises(SpecError, match="^seed must be an integer, got 1.0"):
+            verify(Pearson(), (PropertyId.SYMMETRY,), trials=5, seed=1.0)
+
+    def test_numpy_integers_give_the_python_int_report(self):
+        props = (PropertyId.SYMMETRY, PropertyId.AFFINE_SIGN_RULE)
+        want = verify(Pearson(), props, trials=20, n_range=(4, 9), seed=3)
+        got = verify(
+            Pearson(), props, trials=np.int32(20), n_range=np.array([4, 9]), seed=np.uint8(3)
+        )
+        assert type(got.seed) is int and type(got.trials) is int
+        assert got.to_json() == want.to_json()
+
+
+def _reference_trial(seed, prop, t, exact_n, lo, hi):
+    # the per-subject draw that `_draw_trial` replaced, kept as its oracle
+    rng = np.random.default_rng([seed, prop.index, t])
+    n = int(exact_n if exact_n is not None else rng.integers(lo, hi + 1))
+    style = _STYLES[t % 10]
+    x = _draw_series(rng, n, style)
+    y = _draw_series(rng, n, style) if prop.inputs == "xy" else None
+    if prop.inputs == "constants":
+        q, r = rng.uniform(-10.0, 10.0, 2)
+        x, y = np.full(n, q), np.full(n, r)
+    params = prop.draw(rng)
+    return n, x, y, params
+
+
+def _fixed_length_branch():
+    w = WeightedMean((0.2,) * 5)
+    return MinkowskiBranch(DissimilaritySpec(2.0, CenterScale(w, MinkowskiDeviation(2.0, w))))
+
+
+def _criterion_3_subjects():
+    correlations = [
+        Pearson(), CosineStandardized(preset("unit-mean")), GeneralizedMidrangeCorrelation(0, 2)
+    ]
+    return correlations + [bm.measure for bm in default_grid_measures(None)]
+
+
+_CRITERION_3_PROPS = (
+    PropertyId.SYMMETRY,
+    PropertyId.ASSOC_REFLEXIVITY,
+    PropertyId.INVERSE_REFLEXIVITY,
+    PropertyId.INVERSE_RELATIONSHIP,
+    PropertyId.TRANSLATION_INVARIANCE,
+    PropertyId.AFFINE_SIGN_RULE,
+    PropertyId.RANGE_BOUNDS,
+)
+
+
+class TestTrialCache:
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_draw_equals_the_per_subject_draw(self, seed):
+        exact_n = _fixed_length_branch().bounds[1]
+        assert exact_n == 5
+        ranges = ((None, 3, 60), (None, 5, 60), (exact_n, exact_n, exact_n))
+        for prop in PropertyId:
+            for exact, lo, hi in ranges:
+                for t in range(30):
+                    n, rx, ry, rparams = _reference_trial(seed, prop, t, exact, lo, hi)
+                    x, y, params = _draw_trial(seed, prop, t, exact, lo, hi)
+                    assert x.shape == (n,) and (x == rx).all()
+                    assert (y is None) == (ry is None)
+                    assert y is None or (y.shape == (n,) and (y == ry).all())
+                    assert dict(params) == rparams
+                    assert not x.flags.writeable and (y is None or not y.flags.writeable)
+
+    def test_report_bytes_do_not_depend_on_the_cache(self):
+        wide = GeneralizedMidrangeCorrelation(0, 2)  # least length 5: other bounds
+        assert wide.bounds != Pearson().bounds
+        props = _CRITERION_3_PROPS
+        _draw_trial.cache_clear()
+        alone = verify(Pearson(), props, trials=40, seed=7).to_json()
+        verify(wide, props, trials=40, seed=7)
+        assert verify(Pearson(), props, trials=40, seed=7).to_json() == alone
+        _draw_trial.cache_clear()
+        assert verify(Pearson(), props, trials=40, seed=7).to_json() == alone
+
+    def test_every_subject_shares_the_draws(self):
+        # 2 length ranges (3..60, and 5..60 for two centers) x 7 properties x 50 trials
+        _draw_trial.cache_clear()
+        for subject in _criterion_3_subjects():
+            verify(subject, _CRITERION_3_PROPS, trials=50, seed=0)
+        info = _draw_trial.cache_info()
+        assert info.misses == 2 * 7 * 50
+        assert info.currsize <= info.maxsize
+        assert info.hits == 15 * 7 * 50 - info.misses
+
+    def test_a_subject_cannot_write_into_the_shared_inputs(self):
+        def overwrite(vx, vy):
+            vx[0] = 0.0
+            return 0.0
+
+        props = (PropertyId.SYMMETRY, PropertyId.RANGE_BOUNDS)
+        _draw_trial.cache_clear()
+        writer = Probe("association", overwrite, "overwrite")
+        with pytest.raises(ValueError, match="read-only"):
+            verify(writer, props, trials=10, seed=0)
+        after = verify(Pearson(), props, trials=10, seed=0).to_json()
+        _draw_trial.cache_clear()
+        assert verify(Pearson(), props, trials=10, seed=0).to_json() == after
 
 
 class TestCoverage:
