@@ -71,7 +71,6 @@ from .axioms import (
     PropertyId,
     PropertyReport,
     applicable_properties,
-    coverage_suite,
     replay,
     verify,
 )

@@ -25,7 +25,7 @@ from .datasets import (
     read_matrix_csv,
     write_text,
 )
-from .errors import ShapeAssocError
+from .errors import ShapeAssocError, SpecError
 from .measures import MeasureSpec, associate, association_matrix
 from .series import SeriesSet
 from .standardize import PRESETS, Standardization, standardize
@@ -120,7 +120,16 @@ def _parse_props(raw: str) -> tuple[ax.PropertyId, ...] | None:
         return None
     if raw == "sam":
         return ax.SAM_PROPERTIES
-    return tuple(ax.PropertyId(token.strip()) for token in raw.split(","))
+    ids = {p.value: p for p in ax.PropertyId}
+    tokens = [token.strip() for token in raw.split(",")]
+    unknown = [token for token in tokens if token not in ids]
+    if unknown:
+        # name a token that is no id at all before an 'all' or 'sam' in a list
+        bad = next((token for token in unknown if token not in ("all", "sam")), unknown[0])
+        what = "must stand alone" if bad in ("all", "sam") else "is not a property id"
+        valid = ", ".join(ids)
+        raise SpecError(f"--props: {bad!r} {what}; use 'all' or 'sam' alone, or a list of: {valid}")
+    return tuple(ids[token] for token in tokens)
 
 
 def _cmd_standardize(args) -> int:

@@ -18,6 +18,7 @@ from .series import SeriesSet, load_set
 
 _DELIMITERS = {"comma": ",", "tab": "\t", "whitespace": None}
 _ORIENTATIONS = ("rows", "columns", "auto")
+_QUOTED = 40  # the most characters of a bad field that an error message quotes
 
 
 def _rows(text: str, delimiter: str, source: str) -> list[tuple[int, list[str]]]:
@@ -37,9 +38,15 @@ def _rows(text: str, delimiter: str, source: str) -> list[tuple[int, list[str]]]
     return rows
 
 
+def _quote(token: str) -> str:
+    more = f"... ({len(token)} characters)" if len(token) > _QUOTED else ""
+    return f"{token[:_QUOTED]!r}{more}"
+
+
 def _floats(rows: list[tuple[int, list[str]]], first: int, source: str) -> np.ndarray:
     """Fields `first` (1-based) onward of each row as a float64 matrix; a field
-    that is not a finite number is an error naming its line and field."""
+    that is not a finite number is an error naming its line and field, and a
+    delimiter that would split it."""
     try:
         data = np.array([list(map(float, fields[first - 1 :])) for _, fields in rows])
     except ValueError:
@@ -48,9 +55,13 @@ def _floats(rows: list[tuple[int, list[str]]], first: int, source: str) -> np.nd
         for ln, fields in rows:  # name the first bad field
             for col, token in enumerate(fields[first - 1 :], start=first):
                 try:
-                    bad = "" if math.isfinite(float(token)) else f"non-finite value {token!r}"
+                    bad = "" if math.isfinite(float(token)) else f"non-finite value {_quote(token)}"
                 except ValueError:
-                    bad = f"cannot parse {token!r} as a number"
+                    bad = f"cannot parse {_quote(token)} as a number"
+                    # a field never holds the separator it was split on
+                    split_by = [name for name in ("comma", "tab") if _DELIMITERS[name] in token]
+                    if split_by:
+                        bad += f"; delimiter {split_by[0]!r} would split it"
                 if bad:
                     raise DatasetError(f"{source}: line {ln}, field {col}: {bad}")
     return data

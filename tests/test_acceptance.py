@@ -20,20 +20,16 @@ from shapeassoc import (
     ArithmeticMean,
     Center,
     CenterScale,
-    CosineStandardized,
     DissimilaritySpec,
     FileDataset,
     GeneralizedMidrange,
-    GeneralizedMidrangeCorrelation,
     Median,
     Midrange,
     Min,
-    MinkowskiBranch,
     MinkowskiContrast,
     MinkowskiDeviation,
     Pearson,
     PowerHalf,
-    Projection,
     PropertyId,
     RationalDecay,
     SimilarityBranch,
@@ -52,6 +48,7 @@ from shapeassoc.estimates import central_values
 from shapeassoc.measures import associate_values
 from shapeassoc.standardize import standardize_values
 
+from axiom_cases import CRITERION_3_PROPS, CRITERION_3_SUBJECTS
 from helpers import random_values
 
 
@@ -93,45 +90,13 @@ def test_criterion_2_cosine_recovery():
     assert worst <= 1e-9
 
 
-def _grid_subjects():
-    subjects = [
-        ("pearson", Pearson()),
-        ("cosine", CosineStandardized(preset("unit-mean"))),
-        ("gmidrange-correlation", GeneralizedMidrangeCorrelation(0, 2)),
-    ]
-    centers = (
-        ("midrange", Midrange()),
-        ("median", Median()),
-        ("truncmean2", TruncatedMean(2)),
-        ("gmidrange02", GeneralizedMidrange(0, 2)),
-        ("mean", ArithmeticMean()),
-        ("projection2", Projection(2)),
-    )
-    for name, center in centers:
-        dissim = DissimilaritySpec(2.0, CenterScale(center, MinkowskiDeviation(2.0, center)))
-        subjects.append((f"branch-{name}", MinkowskiBranch(dissim, RationalDecay(1.0))))
-        subjects.append((f"contrast-{name}", MinkowskiContrast(dissim, PowerHalf(2.0))))
-    return subjects
-
-
-_AXIOM_PROPS = (
-    PropertyId.SYMMETRY,
-    PropertyId.ASSOC_REFLEXIVITY,
-    PropertyId.INVERSE_REFLEXIVITY,
-    PropertyId.INVERSE_RELATIONSHIP,
-    PropertyId.TRANSLATION_INVARIANCE,
-    PropertyId.AFFINE_SIGN_RULE,
-    PropertyId.RANGE_BOUNDS,
-)
-
-
 def test_criterion_3_axiom_suite():
     start = time.perf_counter()
     failures = []
     worst = 0.0
-    for name, subject in _grid_subjects():
+    for name, subject in CRITERION_3_SUBJECTS:
         for seed in (0, 7, 42):
-            report = verify(subject, _AXIOM_PROPS, trials=200, seed=seed, tol=1e-8)
+            report = verify(subject, CRITERION_3_PROPS, trials=200, seed=seed, tol=1e-8)
             worst = max(worst, max(r.worst_violation for r in report.results))
             if not report.passed():
                 failures.append((name, seed, report.failures()))

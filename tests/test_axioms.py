@@ -12,7 +12,6 @@ from shapeassoc import (
     Center,
     CenterScale,
     ComplementDecay,
-    CosineStandardized,
     DissimilaritySpec,
     GeneralizedMidrangeCorrelation,
     Min,
@@ -27,7 +26,6 @@ from shapeassoc import (
     SpecError,
     WeightedMean,
     applicable_properties,
-    coverage_suite,
     default_grid_measures,
     preset,
     replay,
@@ -36,6 +34,7 @@ from shapeassoc import (
 from shapeassoc import measures
 from shapeassoc.axioms import _STYLES, SAM_PROPERTIES, _draw_series, _draw_trial, describe_subject
 
+from axiom_cases import CRITERION_3_PROPS, CRITERION_3_SUBJECTS, coverage_suite
 from implications import implication_checks
 
 UNIT_MEAN = preset("unit-mean")
@@ -262,10 +261,28 @@ class TestVerify:
         assert "n_range=5..5" in report.to_text()
         assert report.passed()
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, -(10**400)])
     def test_nan_or_negative_tol_is_refused(self, tol):
         with pytest.raises(SpecError, match="tol must be >= 0"):
             verify(Pearson(), (PropertyId.SYMMETRY,), trials=5, tol=tol)
+
+    @pytest.mark.parametrize("tol", [True, "1e-8", None])
+    def test_a_tol_that_is_not_a_real_number_is_refused(self, tol):
+        with pytest.raises(SpecError, match="^tol must be a real number"):
+            verify(Pearson(), (PropertyId.SYMMETRY,), trials=5, tol=tol)
+
+    def test_an_int_beyond_float_range_is_an_infinite_tol(self):
+        prop = PropertyId.INVERSE_RELATIONSHIP
+        want = verify(MIN_CENTER_BRANCH, (prop,), trials=20, seed=0, tol=math.inf)
+        got = verify(MIN_CENTER_BRANCH, (prop,), trials=20, seed=0, tol=10**400)
+        assert got.passed() and got.to_json() == want.to_json()
+
+    def test_a_numpy_tol_gives_the_float_report(self):
+        props = (PropertyId.SYMMETRY, PropertyId.RANGE_BOUNDS)
+        want = verify(Pearson(), props, trials=10, seed=0, tol=1e-8)
+        got = verify(Pearson(), props, trials=10, seed=0, tol=np.float64(1e-8))
+        assert type(got.tol) is float
+        assert got.to_json() == want.to_json() and got.to_text() == want.to_text()
 
     @pytest.mark.parametrize("seed", [-1, -(2**70)])
     def test_negative_seed_is_refused_by_name(self, seed):
@@ -340,24 +357,6 @@ def _fixed_length_branch():
     return MinkowskiBranch(DissimilaritySpec(2.0, CenterScale(w, MinkowskiDeviation(2.0, w))))
 
 
-def _criterion_3_subjects():
-    correlations = [
-        Pearson(), CosineStandardized(preset("unit-mean")), GeneralizedMidrangeCorrelation(0, 2)
-    ]
-    return correlations + [bm.measure for bm in default_grid_measures(None)]
-
-
-_CRITERION_3_PROPS = (
-    PropertyId.SYMMETRY,
-    PropertyId.ASSOC_REFLEXIVITY,
-    PropertyId.INVERSE_REFLEXIVITY,
-    PropertyId.INVERSE_RELATIONSHIP,
-    PropertyId.TRANSLATION_INVARIANCE,
-    PropertyId.AFFINE_SIGN_RULE,
-    PropertyId.RANGE_BOUNDS,
-)
-
-
 class TestTrialCache:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_draw_equals_the_per_subject_draw(self, seed):
@@ -378,7 +377,7 @@ class TestTrialCache:
     def test_report_bytes_do_not_depend_on_the_cache(self):
         wide = GeneralizedMidrangeCorrelation(0, 2)  # least length 5: other bounds
         assert wide.bounds != Pearson().bounds
-        props = _CRITERION_3_PROPS
+        props = CRITERION_3_PROPS
         _draw_trial.cache_clear()
         alone = verify(Pearson(), props, trials=40, seed=7).to_json()
         verify(wide, props, trials=40, seed=7)
@@ -389,8 +388,8 @@ class TestTrialCache:
     def test_every_subject_shares_the_draws(self):
         # 2 length ranges (3..60, and 5..60 for two centers) x 7 properties x 50 trials
         _draw_trial.cache_clear()
-        for subject in _criterion_3_subjects():
-            verify(subject, _CRITERION_3_PROPS, trials=50, seed=0)
+        for _, subject in CRITERION_3_SUBJECTS:
+            verify(subject, CRITERION_3_PROPS, trials=50, seed=0)
         info = _draw_trial.cache_info()
         assert info.misses == 2 * 7 * 50
         assert info.currsize <= info.maxsize
@@ -423,6 +422,12 @@ class TestCoverage:
                 report = verify(case.subject, (case.property,), trials=120, seed=3)
                 witness = report.result(case.property).witness
                 assert replay(case.subject, witness) == witness.violation, case.label
+
+    def test_criterion_3_subjects_are_the_correlations_and_the_grid(self):
+        names = [name for name, _ in CRITERION_3_SUBJECTS[:3]]
+        assert names == ["pearson", "cosine", "gmidrange-correlation"]
+        grid = {(bm.name, bm.measure) for bm in default_grid_measures(None)}
+        assert len(grid) == 12 and set(CRITERION_3_SUBJECTS[3:]) == grid
 
     def test_every_property_has_a_pass_and_a_fail_case(self):
         suite = coverage_suite()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from shapeassoc import PropertyId
 from shapeassoc.cli import main
 
 
@@ -256,6 +257,24 @@ class TestAxioms:
         code = run("axioms", "--measure", "pearson", "--props", "nonsense")
         assert code == 1
         assert "nonsense" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "props, named",
+        [
+            ("foo", "'foo' is not a property id"),
+            ("sam,foo", "'foo' is not a property id"),
+            ("symmetry, foo", "'foo' is not a property id"),
+            ("sam,symmetry", "'sam' must stand alone"),
+            ("symmetry,all", "'all' must stand alone"),
+        ],
+    )
+    def test_a_bad_property_id_is_named_with_the_valid_ones(self, capsys, props, named):
+        code = run("axioms", "--measure", "pearson", "--props", props, "--trials", "5")
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and named in captured.err
+        assert "use 'all' or 'sam' alone" in captured.err
+        assert all(p.value in captured.err for p in PropertyId)
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_nan_or_negative_tol_exits_one(self, capsys, tol):

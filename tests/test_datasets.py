@@ -68,6 +68,34 @@ class TestParsing:
         with pytest.raises(DatasetError, match="line 2, field 2"):
             parse_dataset_text("1 2 3 4\n5 abc 7 8\n")
 
+    def test_a_short_bad_token_is_quoted_whole(self):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset_text("1 2 3 4\n5 abc 7 8\n")
+        assert str(err.value) == "<string>: line 2, field 2: cannot parse 'abc' as a number"
+        token = "x" * 40
+        with pytest.raises(DatasetError) as err:
+            parse_dataset_text(f"1 2\n3 {token}\n")
+        assert str(err.value).endswith(f"field 2: cannot parse {token!r} as a number")
+
+    @pytest.mark.parametrize("has_ids", [False, True])
+    def test_a_comma_file_read_on_whitespace_is_capped_and_names_the_delimiter(self, has_ids):
+        rng = np.random.default_rng(3)
+        lines = [
+            ",".join([f"s{i}"] * has_ids + [repr(v) for v in random_values(rng, 300)]) for i in (1, 2)
+        ]
+        with pytest.raises(DatasetError) as err:
+            parse_dataset_text("\n".join(lines) + "\n", has_ids=has_ids)
+        message = str(err.value)
+        # each line is one field; with ids, line 1 is the id line
+        bad = lines[1] if has_ids else lines[0]
+        assert len(message) < 160, message
+        assert f"cannot parse {bad[:40]!r}... ({len(bad)} characters) as a number" in message
+        assert message.endswith("; delimiter 'comma' would split it")
+
+    def test_a_tab_file_read_on_commas_names_the_tab_delimiter(self):
+        with pytest.raises(DatasetError, match=r"cannot parse '1\\t2\\t3' as a number; delimiter 'tab' would split it$"):
+            parse_dataset_text("1\t2\t3\n4\t5\t6\n", delimiter="comma")
+
     def test_non_finite_cell_reports_position(self):
         for token in ("nan", "inf", "-inf"):
             with pytest.raises(DatasetError, match="line 2, field 3: non-finite"):
@@ -215,6 +243,10 @@ class TestMatrixCsv:
             parse_matrix_csv_text(text)
         with pytest.raises(DatasetError, match="line 5 has 2 fields, expected 3"):
             parse_matrix_csv_text("id,a,b\n\na,1.0,0.5\n\nb,0.5\n")
+
+    def test_a_tab_separated_matrix_names_the_tab(self):
+        with pytest.raises(DatasetError, match=r"field 2: cannot parse '1\\t2' as a number; delimiter 'tab'"):
+            parse_matrix_csv_text("id,a\na,1\t2\n")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_cell_reports_position(self, token):

@@ -11,7 +11,8 @@ Pins, against tests/golden.json:
 - the JSON the CLI writes for a dendrogram, for the synthetic benchmark, and
   for a file benchmark whose constant series skips every measure;
 - seeded `verify` reports for the 15 measures of acceptance criterion 3 and
-  for every case of `coverage_suite()` (as SHA-256 digests of `to_json()`).
+  for every case of `coverage_suite()`, both from `tests/axiom_cases.py` (as
+  SHA-256 digests of `to_json()`).
 
 Only change golden.json when an output is meant to change. Regenerate it
 from the repository root with:
@@ -55,7 +56,6 @@ from shapeassoc import (
     Pearson,
     PowerHalf,
     Projection,
-    PropertyId,
     Range,
     RationalDecay,
     SimilarityBranch,
@@ -66,7 +66,6 @@ from shapeassoc import (
     SyntheticDataset,
     TruncatedMean,
     WeightedMean,
-    coverage_suite,
     default_grid_measures,
     preset,
     verify,
@@ -75,6 +74,8 @@ from shapeassoc.axioms import describe_subject
 from shapeassoc.bench import benchmark_spec_from_dict
 from shapeassoc.cli import main
 from shapeassoc.config import to_dict
+
+from axiom_cases import CRITERION_3_PROPS, CRITERION_3_SUBJECTS, coverage_suite
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -235,26 +236,6 @@ INPUTS = (
     ("reject/bench-unknown-dataset-kind", ("bench", "--config"), {"dataset": {"kind": "remote"}}),
 )
 
-_AXIOM_PROPS = (
-    PropertyId.SYMMETRY,
-    PropertyId.ASSOC_REFLEXIVITY,
-    PropertyId.INVERSE_REFLEXIVITY,
-    PropertyId.INVERSE_RELATIONSHIP,
-    PropertyId.TRANSLATION_INVARIANCE,
-    PropertyId.AFFINE_SIGN_RULE,
-    PropertyId.RANGE_BOUNDS,
-)
-
-
-def _criterion_3_subjects():
-    subjects = [
-        ("pearson", Pearson()),
-        ("cosine", CosineStandardized(preset("unit-mean"))),
-        ("gmidrange-correlation", GeneralizedMidrangeCorrelation(0, 2)),
-    ]
-    return subjects + [(bm.name, bm.measure) for bm in default_grid_measures(None)]
-
-
 @contextlib.contextmanager
 def _workdir():
     """A scratch directory holding waves.csv, contrast.json and bench.json."""
@@ -331,8 +312,8 @@ def _digest(text: str) -> str:
 
 def verify_digests() -> dict[str, str]:
     out = {
-        f"criterion-3/{name}": _digest(verify(s, _AXIOM_PROPS, trials=50, seed=0).to_json())
-        for name, s in _criterion_3_subjects()
+        f"criterion-3/{name}": _digest(verify(s, CRITERION_3_PROPS, trials=50, seed=0).to_json())
+        for name, s in CRITERION_3_SUBJECTS
     }
     for case in coverage_suite():
         report = verify(case.subject, (case.property,), trials=120, seed=0)

@@ -23,13 +23,13 @@ from shapeassoc import (
     Pearson,
     PropertyId,
     SimilarityRecipe,
-    coverage_suite,
     default_synthetic_spec,
     run_benchmark,
     single_linkage,
     verify,
 )
 from shapeassoc.config import plain, to_json
+from axiom_cases import coverage_suite
 from test_cluster import from_upper, random_matrix
 
 
