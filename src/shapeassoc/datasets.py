@@ -21,20 +21,27 @@ _ORIENTATIONS = ("rows", "columns", "auto")
 _QUOTED = 40  # the most characters of a bad field that an error message quotes
 
 
-def _rows(text: str, delimiter: str, source: str) -> list[tuple[int, list[str]]]:
-    """(file line number, fields) of each non-blank line, all as wide as the first."""
-    sep = _DELIMITERS[delimiter]
-    rows = [
-        (ln, raw.split() if sep is None else [cell.strip() for cell in raw.split(sep)])
-        for ln, raw in enumerate(text.splitlines(), start=1)
-        if raw.strip()
-    ]
+def _fields(raw: str, sep: str | None) -> list[str]:
+    return raw.split() if sep is None else [cell.strip() for cell in raw.split(sep)]
+
+
+def _first(raw: str, sep: str | None) -> str:  # an id or a row label
+    return raw.split(sep, 1)[0].strip()
+
+
+def _width(raw: str, sep: str | None) -> int:
+    return len(raw.split()) if sep is None else raw.count(sep) + 1
+
+
+def _rows(text: str, sep: str | None, source: str) -> list[tuple[int, str]]:
+    """(file line number, raw line) of each non-blank line, all as wide as the first."""
+    rows = [(ln, raw) for ln, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
     if not rows:
         raise DatasetError(f"{source}: no data lines")
-    width = len(rows[0][1])
-    for ln, fields in rows:
-        if len(fields) != width:
-            raise DatasetError(f"{source}: line {ln} has {len(fields)} fields, expected {width}")
+    width = _width(rows[0][1], sep)
+    for ln, raw in rows:
+        if _width(raw, sep) != width:
+            raise DatasetError(f"{source}: line {ln} has {_width(raw, sep)} fields, expected {width}")
     return rows
 
 
@@ -43,36 +50,40 @@ def _quote(token: str) -> str:
     return f"{token[:_QUOTED]!r}{more}"
 
 
-def _floats(rows: list[tuple[int, list[str]]], first: int, source: str) -> np.ndarray:
-    """Fields `first` (1-based) onward of each row as a float64 matrix; a field
-    that is not a finite number is an error naming its line and field, and a
-    delimiter that would split it."""
+def _floats(rows: list[tuple[int, str]], first: int, sep: str | None, source: str) -> np.ndarray:
+    """Fields `first` (1-based) onward of each row as a float64 matrix, parsed
+    one line at a time; a field that is not a finite number is an error naming
+    its line and field, and a delimiter that would split it."""
+    data = np.empty((len(rows), _width(rows[0][1], sep) - first + 1))
     try:
-        data = np.array([list(map(float, fields[first - 1 :])) for _, fields in rows])
+        for i, (_, raw) in enumerate(rows):
+            # float() ignores the outer whitespace strip() removes, but for
+            # \x1c-\x1f, at which splitlines() ends a line
+            data[i] = np.fromiter(map(float, raw.split(sep)[first - 1 :]), np.float64)
     except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        for ln, fields in rows:  # name the first bad field
-            for col, token in enumerate(fields[first - 1 :], start=first):
-                try:
-                    bad = "" if math.isfinite(float(token)) else f"non-finite value {_quote(token)}"
-                except ValueError:
-                    bad = f"cannot parse {_quote(token)} as a number"
-                    # a field never holds the separator it was split on
-                    split_by = [name for name in ("comma", "tab") if _DELIMITERS[name] in token]
-                    if split_by:
-                        bad += f"; delimiter {split_by[0]!r} would split it"
-                if bad:
-                    raise DatasetError(f"{source}: line {ln}, field {col}: {bad}")
-    return data
+        pass
+    else:
+        if np.isfinite(data).all():
+            return data
+    for ln, raw in rows:  # name the first bad field
+        for col, token in enumerate(_fields(raw, sep)[first - 1 :], start=first):
+            try:
+                bad = "" if math.isfinite(float(token)) else f"non-finite value {_quote(token)}"
+            except ValueError:
+                bad = f"cannot parse {_quote(token)} as a number"
+                # a field never holds the separator it was split on
+                split_by = [name for name in ("comma", "tab") if _DELIMITERS[name] in token]
+                if split_by:
+                    bad += f"; delimiter {split_by[0]!r} would split it"
+            if bad:
+                raise DatasetError(f"{source}: line {ln}, field {col}: {bad}")
 
 
 def _is_number(token: str) -> bool:
     try:
-        _floats([(1, [token])], 1, "")
-    except DatasetError:
+        return math.isfinite(float(token))
+    except ValueError:
         return False
-    return True
 
 
 def parse_dataset_text(
@@ -95,11 +106,14 @@ def parse_dataset_text(
         raise SpecError(f"unknown delimiter {delimiter!r}; expected one of {sorted(_DELIMITERS)}")
     if orientation not in _ORIENTATIONS:
         raise SpecError(f"unknown orientation {orientation!r}; expected one of {_ORIENTATIONS}")
-    rows = _rows(text, delimiter, source)
+    sep = _DELIMITERS[delimiter]
+    rows = _rows(text, sep, source)
+    width = _width(rows[0][1], sep)
     if orientation == "auto":
-        orientation = "rows" if len(rows) < len(rows[0][1]) else "columns"
-        if has_ids and len(rows) > 1 and len(rows[0][1]) > 1:
-            line1_field2, line2_field1 = _is_number(rows[0][1][1]), _is_number(rows[1][1][0])
+        orientation = "rows" if len(rows) < width else "columns"
+        if has_ids and len(rows) > 1 and width > 1:
+            line1_field2 = _is_number(_fields(rows[0][1], sep)[1])
+            line2_field1 = _is_number(_first(rows[1][1], sep))
             if line1_field2 != line2_field1:
                 orientation = "rows" if line1_field2 else "columns"
     ids: list[str] | None = None
@@ -107,14 +121,14 @@ def parse_dataset_text(
     first = 1
     if has_ids:
         if orientation == "rows":
-            ids = [fields[0] for _, fields in rows]
+            ids = [_first(raw, sep) for _, raw in rows]
             first = 2
         else:
-            ids = rows[0][1]
+            ids = _fields(rows[0][1], sep)
             rows = rows[1:]
-        if not rows or len(rows[0][1]) < first:
+        if not rows or width < first:
             raise DatasetError(f"{source}: no numeric data after the id field")
-    data = _floats(rows, first, source)
+    data = _floats(rows, first, sep, source)
     return load_set(data.T if orientation == "columns" else data, ids)
 
 
@@ -153,16 +167,16 @@ def format_matrix_csv(ids, values) -> str:
 
 
 def parse_matrix_csv_text(text: str, source: str = "<string>") -> tuple[tuple[str, ...], np.ndarray]:
-    (_, header), *body = _rows(text, "comma", source)
-    ids = tuple(header[1:])
+    (_, header), *body = _rows(text, ",", source)
+    ids = tuple(_fields(header, ",")[1:])
     if not ids:
         raise DatasetError(f"{source}: header row has no ids")
     if len(body) != len(ids):
         raise DatasetError(f"{source}: {len(ids)} ids in header but {len(body)} data rows")
-    for (ln, fields), expected in zip(body, ids):
-        if fields[0] != expected:
-            raise DatasetError(f"{source}: line {ln} is labelled {fields[0]!r}, expected {expected!r}")
-    return ids, _floats(body, 2, source)
+    for (ln, raw), expected in zip(body, ids):
+        if (label := _first(raw, ",")) != expected:
+            raise DatasetError(f"{source}: line {ln} is labelled {label!r}, expected {expected!r}")
+    return ids, _floats(body, 2, ",", source)
 
 
 def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from shapeassoc import (
     parse_dataset,
     parse_dataset_text,
 )
+from shapeassoc.bench import SyntheticCluster, SyntheticDataset, generate_synthetic
 from shapeassoc.datasets import (
     format_matrix_csv,
     format_series_csv,
@@ -258,3 +261,170 @@ class TestMatrixCsv:
         for ids in (["a,b", "c"], ["a", " c"], ["a", "c\n"], ["a", "c\rd"]):
             with pytest.raises(DatasetError, match="cannot be written"):
                 format_matrix_csv(ids, np.eye(2))
+
+
+class TestErrorOrder:
+    """Each reader checks every line's width before it parses a cell, and names
+    the first bad cell in file order by its stripped text."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("1 2 3\n4 x 6\n7 8\n",), "line 3 has 2 fields, expected 3"),
+            (("1 2 3\n4 inf 6\n7 abc 9\n",), "line 2, field 2: non-finite value 'inf'"),
+            (("1,2,3\n4, abc ,6\n", "comma"), "line 2, field 2: cannot parse 'abc' as a number"),
+            # "1,5" is one field, not a number: line 2's id field is read as data
+            (("a 1,5\nb 3\nc 4\n", "whitespace", "auto", True), "line 2, field 1: cannot parse 'b' as a number"),
+        ],
+        ids=["width-before-cell", "non-finite-before-unparsable", "padded-cell", "whole-token-is-number"],
+    )
+    def test_series_table(self, args, message):
+        with pytest.raises(DatasetError) as err:
+            parse_dataset_text(*args)
+        assert str(err.value) == f"<string>: {message}"
+
+    def test_matrix(self):
+        with pytest.raises(DatasetError) as err:
+            parse_matrix_csv_text("id,a,b\na,1,x\nb,1\n")
+        assert str(err.value) == "<string>: line 3 has 2 fields, expected 3"
+
+
+# --- the reader before it parsed one line at a time, kept as the oracle --------
+
+
+def _reference_fields(text: str, delimiter: str) -> list[list[str]]:
+    sep = {"comma": ",", "tab": "\t", "whitespace": None}[delimiter]
+    return [
+        raw.split() if sep is None else [cell.strip() for cell in raw.split(sep)]
+        for raw in text.splitlines()
+        if raw.strip()
+    ]
+
+
+def _reference_floats(rows: list[list[str]], first: int) -> np.ndarray:
+    """Every line's stripped fields as one array: a ValueError on a bad cell."""
+    data = np.array([list(map(float, fields[first - 1 :])) for fields in rows])
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite cell")
+    return data
+
+
+def _reference_is_number(token: str) -> bool:
+    try:
+        _reference_floats([[token]], 1)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_parse(text: str, delimiter: str, orientation: str, has_ids: bool):
+    rows = _reference_fields(text, delimiter)
+    if orientation == "auto":
+        orientation = "rows" if len(rows) < len(rows[0]) else "columns"
+        if has_ids and len(rows) > 1 and len(rows[0]) > 1:
+            line1_field2, line2_field1 = _reference_is_number(rows[0][1]), _reference_is_number(rows[1][0])
+            if line1_field2 != line2_field1:
+                orientation = "rows" if line1_field2 else "columns"
+    ids, first = None, 1
+    if has_ids:
+        if orientation == "rows":
+            ids, first = [fields[0] for fields in rows], 2
+        else:
+            ids, rows = rows[0], rows[1:]
+    data = _reference_floats(rows, first)
+    return load_set(data.T if orientation == "columns" else data, ids)
+
+
+def _bits(read, *args):
+    """The ids and the float64 bits, as int64, of each series a reader gives."""
+    data = read(*args)
+    return data.ids, [s.values.view(np.int64).tolist() for s in data]
+
+
+_SEPARATORS = {"comma": ",", "tab": "\t", "whitespace": " "}
+# padding a cell may carry: a tab would split a tab-separated cell
+_PADDING = {"comma": " \t", "tab": " ", "whitespace": " \t"}
+_FORMATS = [repr, "{:.17g}".format, "{:.17e}".format]
+
+
+def _padded_table(draws, cells: list[list[str]], delimiter: str) -> str:
+    pad = st.text(st.sampled_from(_PADDING[delimiter]), max_size=2)
+    return "".join(
+        _SEPARATORS[delimiter].join(draws.draw(pad) + cell + draws.draw(pad) for cell in line) + "\n"
+        for line in cells
+    )
+
+
+class TestLineAtATimeReader:
+    @given(
+        st.sampled_from(sorted(_SEPARATORS)),
+        st.sampled_from(["rows", "columns"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 5),
+        st.integers(2, 6),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bits_equal_the_reference(self, delimiter, layout, auto, has_ids, k, n, draws):
+        """Same ids and float64 bits (-0.0, subnormals, 17-digit forms) as the
+        reader that split every line first, padded cells included."""
+        values = draws.draw(_float_rows(k, n))
+        fmt = draws.draw(st.sampled_from(_FORMATS))
+        lines = [[f"s{i}"] * has_ids + [fmt(v) for v in row] for i, row in enumerate(values)]
+        if layout == "columns":
+            lines = [list(column) for column in zip(*lines)]
+        text = _padded_table(draws, lines, delimiter)
+        args = text, delimiter, "auto" if auto else layout, has_ids
+        assert _bits(parse_dataset_text, *args) == _bits(_reference_parse, *args)
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_bits_equal_the_reference(self, k, draws):
+        values = draws.draw(_float_rows(k, k))
+        fmt = draws.draw(st.sampled_from(_FORMATS))
+        ids = [f"s{i}" for i in range(k)]
+        text = _padded_table(draws, [["id", *ids]] + [[i, *map(fmt, row)] for i, row in zip(ids, values)], "comma")
+        rows = _reference_fields(text, "comma")
+        want = _reference_floats(rows[1:], 2)
+        got_ids, got = parse_matrix_csv_text(text)
+        assert got_ids == tuple(rows[0][1:]) == tuple(ids)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def wide_short_texts():
+    """The benchmark's wide-short inputs at seed 0: a 200 x 256 series table
+    with ids, and its 200 x 200 Pearson matrix CSV."""
+    member = SyntheticCluster(5, (False, False, False, True, True))
+    data, _ = generate_synthetic(SyntheticDataset(seed=0, length=256, clusters=(member,) * 40))
+    m = association_matrix(Pearson(), data)
+    return format_series_csv(data), format_matrix_csv(m.ids, m.values)
+
+
+def _heap_peak(read, text) -> int:
+    """Bytes of Python heap that read(text) holds at its peak, after a warm call."""
+    read(text)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        read(text)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "which, read",
+    [
+        (0, lambda text: parse_dataset_text(text, "comma", "auto", True)),
+        (1, parse_matrix_csv_text),
+    ],
+    ids=["series-table", "matrix"],
+)
+def test_a_reader_holds_at_most_one_line_of_cells(wide_short_texts, which, read):
+    # the text's lines and the parsed floats stay; a string for every cell at once
+    # would take 5-6 times the text
+    text = wide_short_texts[which]
+    assert _heap_peak(read, text) <= 2.5 * len(text)

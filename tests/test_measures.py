@@ -1,7 +1,11 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from shapeassoc import (
     ArithmeticMean,
@@ -582,3 +586,62 @@ class TestBitIdenticalToReference:
         want = _outcome(_ref_associate, standardize, vx, vy)
         assert want[0] is DomainError
         assert _outcome(associate_values, spec, vx, vy) == want
+
+
+# --- exact values on integer series -------------------------------------------
+
+
+def _decimal(q: Fraction) -> Decimal:
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _exact_rho(x, y) -> Decimal:
+    """Pearson's correlation of integer series from exact sums, rounded only
+    at the current decimal precision."""
+    mx, my = Fraction(sum(x), len(x)), Fraction(sum(y), len(y))
+    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxx = sum((a - mx) ** 2 for a in x)
+    syy = sum((b - my) ** 2 for b in y)
+    # the root of rho^2, so |rho| = 1 comes out exactly 1
+    return _decimal(sxy**2 / (sxx * syy)).sqrt().copy_sign(_decimal(sxy))
+
+
+def _exact_branch(rho: Decimal) -> Decimal:
+    """1 / (1 + sqrt(2 - 2|rho|)) with the sign of rho: RationalDecay(1) of the
+    nearer of D(x, y)^2 = 2 - 2 rho and D(x, -y)^2 = 2 + 2 rho; 0 on the tie."""
+    if rho == 0:
+        return Decimal(0)
+    value = 1 / (1 + (2 - 2 * abs(rho)).sqrt())
+    return value if rho > 0 else -value
+
+
+# every route is rho itself but the branch; the contrast is
+# ((D(x, -y) / 2)^2 - (D(x, y) / 2)^2) = rho at r = 2 on unit vectors
+_EXACT_ROUTES = [
+    (Pearson(), lambda rho: rho),
+    (CosineStandardized(UNIT_MEAN), lambda rho: rho),
+    (MinkowskiContrast(D2_UNIT, PowerHalf(2.0)), lambda rho: rho),
+    (MinkowskiBranch(D2_UNIT, RationalDecay(1.0)), _exact_branch),
+]
+_EXACT_TOL = 8 * 2.0**-52  # 8 eps, absolute
+
+integer_pairs = st.integers(3, 40).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(-99, 99), min_size=n, max_size=n)] * 2)
+)
+
+
+@given(integer_pairs)
+@example(([3, -7, 0, 12, 5], [2 * a + 3 for a in [3, -7, 0, 12, 5]]))  # rho = 1
+@example(([3, -7, 0, 12, 5], [-a for a in [3, -7, 0, 12, 5]]))  # rho = -1
+@example(([1, 2, 3], [1, -2, 1]))  # rho = 0, the branch tie
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_values_lie_within_8_eps_of_the_exact_ones(pair):
+    x, y = pair
+    assume(len(set(x)) > 1 and len(set(y)) > 1)
+    vx, vy = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rho = _exact_rho(x, y)
+        for spec, exact in _EXACT_ROUTES:
+            error = abs(Decimal(associate_values(spec, vx, vy)) - exact(rho))
+            assert error <= Decimal(_EXACT_TOL), (type(spec).__name__, float(error / Decimal(2.0**-52)))
