@@ -200,6 +200,7 @@ class Probe:
     def __post_init__(self):
         if self.kind not in _ALL:
             raise SpecError(f"unknown subject kind {self.kind!r}")
+        object.__setattr__(self, "min_n", _integer("min_n", self.min_n))
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         value = self.fn(vx, vy)

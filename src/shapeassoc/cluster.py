@@ -158,25 +158,24 @@ def single_linkage(matrix: SimilarityMatrix) -> Dendrogram:
     if k < 2:
         raise SpecError(f"clustering needs at least 2 objects, got {k}")
     sim = matrix.values
-    # Prim: for each object outside the tree, its best edge into the tree as
-    # (level, key) with key = min(i, j) * k + max(i, j), so that comparing
-    # keys compares pairs in (row, column) order.
-    rest = np.arange(1, k)
-    level = sim[0, 1:].copy()
-    key = rest.copy()
+    # Prim over object ids: (level[v], key[v]) is the best edge from v into the
+    # tree, key = min(i, j) * k + max(i, j) so keys compare pairs in (row, column)
+    # order. A joined object has level -1, below every entry: it is never picked.
+    objects = np.arange(k)
+    level = sim[0].copy()
+    key = objects.copy()
+    level[0] = -1.0
     edges = []  # (-level, key) of each tree edge
-    while rest.size:
-        top = level.max()
-        ties = np.flatnonzero(level == top)
-        p = ties[np.argmin(key[ties])]
-        u = rest[p]
-        edges.append((-float(top), int(key[p])))
-        rest, level, key = np.delete(rest, p), np.delete(level, p), np.delete(key, p)
-        new_level = sim[u, rest]
-        new_key = np.minimum(rest, u) * k + np.maximum(rest, u)
-        better = (new_level > level) | ((new_level == level) & (new_key < key))
-        level = np.where(better, new_level, level)
-        key = np.where(better, new_key, key)
+    for _ in range(k - 1):
+        ties = np.flatnonzero(level == level.max())
+        u = ties[np.argmin(key[ties])]
+        edges.append((-float(level[u]), int(key[u])))
+        level[u] = -1.0
+        new_level = sim[u]
+        new_key = np.minimum(objects, u) * k + np.maximum(objects, u)
+        better = (level >= 0.0) & ((new_level > level) | ((new_level == level) & (new_key < key)))
+        np.copyto(level, new_level, where=better)
+        np.copyto(key, new_key, where=better)
     # Replay the tree edges in merge order.
     cluster = list(range(k))  # series index -> cluster id
     members: dict[int, list[int]] = {c: [c] for c in range(k)}

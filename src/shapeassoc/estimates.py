@@ -27,8 +27,8 @@ from .errors import DomainError, SpecError
 
 def _check_weights(weights) -> tuple[float, ...]:
     w = tuple(float(v) for v in weights)
-    if not w:
-        raise SpecError("weight vector must not be empty")
+    if len(w) < 2:
+        raise SpecError(f"need at least two weights, got {len(w)}: a series has at least two samples")
     if any(not np.isfinite(v) for v in w):
         raise SpecError("weights must be finite")
     if any(v < 0.0 for v in w):
@@ -40,7 +40,8 @@ def _check_weights(weights) -> tuple[float, ...]:
 
 
 def _set_bounds(spec, lo: int, exact: int | None = None) -> None:
-    object.__setattr__(spec, "bounds", (lo, exact))
+    # every series has at least two samples
+    object.__setattr__(spec, "bounds", (max(2, lo), exact))
 
 
 class CentralEstimate:
@@ -96,7 +97,7 @@ class Projection(CentralEstimate):
     def __post_init__(self):
         if self.k < 1:
             raise SpecError(f"projection index must be >= 1, got {self.k}")
-        _set_bounds(self, max(2, self.k))
+        _set_bounds(self, self.k)
 
     def evaluate(self, v: np.ndarray) -> float:
         return float(v[self.k - 1])
@@ -112,7 +113,7 @@ class OrderStatistic(CentralEstimate):
     def __post_init__(self):
         if self.k < 1:
             raise SpecError(f"order statistic index must be >= 1, got {self.k}")
-        _set_bounds(self, max(2, self.k))
+        _set_bounds(self, self.k)
 
     def evaluate(self, v: np.ndarray) -> float:
         return float(np.sort(v)[self.k - 1])
@@ -145,7 +146,7 @@ class TruncatedMean(CentralEstimate):
     def __post_init__(self):
         if self.m < 0:
             raise SpecError(f"truncation count must be >= 0, got {self.m}")
-        _set_bounds(self, max(2, 2 * self.m + 1))
+        _set_bounds(self, 2 * self.m + 1)
 
     def evaluate(self, v: np.ndarray) -> float:
         return float(np.sort(v)[self.m : v.size - self.m].mean())

@@ -12,18 +12,27 @@ from shapeassoc import (
     Center,
     CenterScale,
     ComplementDecay,
+    CosineStandardized,
     DissimilaritySpec,
+    GeneralizedMidrange,
     GeneralizedMidrangeCorrelation,
+    Max,
+    Median,
+    Midrange,
     Min,
     MinkowskiBranch,
     MinkowskiDeviation,
+    OrderStatistic,
+    OrderedWeightedMean,
     Pearson,
     Probe,
+    Projection,
     PropertyId,
     RationalDecay,
     SimilarityBranch,
     SimilarityRecipe,
     SpecError,
+    TruncatedMean,
     WeightedMean,
     applicable_properties,
     default_grid_measures,
@@ -148,6 +157,18 @@ class TestSubjectProtocol:
         assert describe_subject(probe) == want
         assert probe.limits == (0.0, math.inf)
 
+    @pytest.mark.parametrize("min_n", ["3", 10.5, True, None])
+    def test_probe_min_n_must_be_an_integer(self, min_n):
+        with pytest.raises(SpecError) as exc:
+            Probe("association", lambda vx, vy: 0.0, "p", min_n=min_n)
+        assert str(exc.value) == f"min_n must be an integer, got {min_n!r}"
+
+    def test_probe_min_n_is_stored_as_an_int(self):
+        probe = Probe("association", lambda vx, vy: 0.0, "p", min_n=np.int64(10))
+        assert type(probe.min_n) is int and probe.bounds == (10, None)
+        report = verify(probe, (PropertyId.SYMMETRY,), trials=3)
+        assert report.n_range == (10, 60) and json.loads(report.to_json())["n_range"] == [10, 60]
+
 
 class TestVerify:
     def test_pearson_satisfies_the_association_axioms(self):
@@ -159,6 +180,19 @@ class TestVerify:
             assert r.trials == 200
             assert r.witness is None
             assert r.worst_violation <= 1e-8
+
+    @pytest.mark.parametrize("subject, count", [(Pearson(), 10), (RECIPE_UNIT, 13), (D2_UNIT, 7)])
+    def test_default_properties_are_the_applicable_ones_in_order(self, subject, count):
+        report = verify(subject, trials=5)
+        checked = tuple(r.property for r in report.results)
+        assert checked == applicable_properties(subject)
+        assert checked == tuple(p for p in PropertyId if p in checked) and len(checked) == count
+
+    def test_readme_quick_start_measure_passes(self):
+        std = CenterScale(Median(), MinkowskiDeviation(2.0, Median()))
+        measure = MinkowskiBranch(DissimilaritySpec(2.0, std), RationalDecay(1.0))
+        report = verify(measure, seed=0)
+        assert report.passed() and len(report.results) == 10
 
     def test_scale_invariance_also_holds_for_pearson(self):
         report = verify(
@@ -336,6 +370,41 @@ class TestVerify:
         )
         assert type(got.seed) is int and type(got.trials) is int
         assert got.to_json() == want.to_json()
+
+
+def _weights(n: int) -> tuple[float, ...]:
+    w = np.linspace(1.0, 2.0, n)
+    return tuple(w / w.sum())
+
+
+_CATALOG_CENTERS = [
+    Min(), Max(), Midrange(), Projection(1), Projection(3), OrderStatistic(1), Median(),
+    TruncatedMean(0), TruncatedMean(1), GeneralizedMidrange(0, 1), ArithmeticMean(),
+    WeightedMean((1.0, 0.0)), OrderedWeightedMean((0.0, 1.0)),
+] + [est(_weights(n)) for est in (WeightedMean, OrderedWeightedMean) for n in range(2, 6)]
+
+
+@pytest.mark.parametrize("center", _CATALOG_CENTERS, ids=repr)
+def test_every_central_estimate_is_verified_on_two_samples_or_more(center):
+    report = verify(CosineStandardized(Center(center)), trials=3)
+    assert 2 <= center.bounds[0] <= report.n_range[0] and len(report.results) == 10
+
+
+@pytest.mark.parametrize(
+    "act, error, message",
+    [
+        (lambda: Probe("nonsense", lambda vx, vy: 0.0, "p"), SpecError, "unknown subject kind 'nonsense'"),
+        (
+            lambda: verify(Pearson(), (PropertyId.SYMMETRY,), trials=3).result(PropertyId.RANGE_BOUNDS),
+            KeyError,
+            "property 'range-bounds' was not checked",
+        ),
+    ],
+)
+def test_refusals(act, error, message):
+    with pytest.raises(error) as exc:
+        act()
+    assert exc.value.args == (message,)
 
 
 def _reference_trial(seed, prop, t, exact_n, lo, hi):

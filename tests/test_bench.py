@@ -261,3 +261,41 @@ class TestBenchmarkConfig:
     def test_missing_dataset_rejected(self):
         with pytest.raises(SpecError):
             benchmark_spec_from_dict({"measures": "default-grid"})
+
+
+_PEARSON_ONLY = (BenchmarkMeasure("p", Pearson(), None),)
+_SYNTHETIC = {"kind": "synthetic"}
+
+
+@pytest.mark.parametrize(
+    "act, message",
+    [
+        (lambda: SyntheticDataset(clusters=()), "synthetic dataset needs at least one cluster"),
+        (
+            lambda: BenchmarkMeasure("p", Pearson(), "some"),
+            "expectation must be 'all', 'not-all' or null, got 'some'",
+        ),
+        (lambda: BenchmarkSpec(SyntheticDataset(), ()), "benchmark needs at least one measure"),
+        (
+            lambda: run_benchmark(BenchmarkSpec(SyntheticDataset(), _PEARSON_ONLY, ((),))),
+            "true clusters must not be empty",
+        ),
+        (lambda: benchmark_spec_from_dict([]), "benchmark config must be an object, got []"),
+        (
+            lambda: benchmark_spec_from_dict({"dataset": _SYNTHETIC, "expectations": 3}),
+            "expectations must be a string, object, or null",
+        ),
+        (
+            lambda: benchmark_spec_from_dict({"dataset": _SYNTHETIC, "measures": []}),
+            "measures must be 'default-grid' or a non-empty list",
+        ),
+        (
+            lambda: benchmark_spec_from_dict({"dataset": _SYNTHETIC, "measures": "grid"}),
+            "measures must be 'default-grid' or a non-empty list",
+        ),
+    ],
+)
+def test_refusals(act, message):
+    with pytest.raises(SpecError) as exc:
+        act()
+    assert str(exc.value) == message

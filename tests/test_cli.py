@@ -289,6 +289,14 @@ class TestAxioms:
         assert code == 1 and captured.out == ""
         assert captured.err == "shapeassoc: error: seed must be >= 0, got -1\n"
 
+    def test_props_default_to_every_association_property(self, capsys):
+        code = run("axioms", "--measure", "pearson", "--trials", "5")
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        wanted = [p.value for p in PropertyId if "association" in p.kinds]
+        assert [line.split()[0] for line in out[2:]] == wanted and len(wanted) == 10
+        assert all(line.split()[1] == "pass" for line in out[2:])
+
     def test_seed_defaults_to_zero(self, capsys):
         run("axioms", "--measure", "pearson", "--props", "symmetry", "--trials", "10")
         assert "seed=0" in capsys.readouterr().out
@@ -397,6 +405,27 @@ class TestMalformedConfig:
         argv = ("assoc", "--input", dataset, "--delimiter", "comma", "--ids",
                 "--x", "a", "--y", "b", "--measure")
         assert key in self._run_config(tmp_path, capsys, argv, payload)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bench", "--config"),
+            ("axioms", "--measure"),
+            ("assoc", "--input", "{dataset}", "--delimiter", "comma", "--ids", "--x", "a", "--y", "b", "--measure"),
+            ("standardize", "--input", "{dataset}", "--delimiter", "comma", "--ids", "--spec"),
+        ],
+    )
+    def test_invalid_json_exits_one(self, dataset, tmp_path, capsys, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"kind": "pearson",}')
+        try:
+            json.loads(cfg.read_text())
+        except json.JSONDecodeError as exc:
+            cause = str(exc)
+        code = run(*(a.format(dataset=dataset) for a in argv), str(cfg))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"shapeassoc: error: {cfg}: invalid JSON: {cause}\n"
 
     def test_non_finite_dataset_cell(self, tmp_path, capsys):
         p = tmp_path / "nan.csv"

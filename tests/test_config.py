@@ -207,9 +207,9 @@ class TestStrictness:
         for r in (2, 2.0, "2"):
             spec = from_dict({"r": r, "standardization": "unit-mean"}, DissimilaritySpec)
             assert spec == DissimilaritySpec(2.0, preset("unit-mean"))
-        for weights in ([1], (1.0,)):
+        for weights in ([1, 0], (1.0, 0.0)):
             spec = from_dict({"kind": "weighted-mean", "weights": weights}, CentralEstimate)
-            assert spec == WeightedMean((1.0,))
+            assert spec == WeightedMean((1.0, 0.0))
         spec = from_dict({"kind": "file", "path": "x.txt", "has_ids": False}, DatasetSpec)
         assert spec.has_ids is False
 
@@ -218,6 +218,12 @@ class TestStrictness:
         for kind in ("projection", "order-statistic", "truncated-mean", "generalized-midrange"):
             with pytest.raises(SpecError, match="missing required key"):
                 from_dict({"kind": kind}, CentralEstimate)
+
+    @pytest.mark.parametrize("kind", ["weighted-mean", "ordered-weighted-mean"])
+    def test_one_weight_is_refused(self, kind):
+        with pytest.raises(SpecError) as exc:
+            from_dict({"kind": kind, "weights": [1]}, CentralEstimate)
+        assert str(exc.value) == "need at least two weights, got 1: a series has at least two samples"
 
     def test_invalid_parameters_propagate(self):
         # construction rules still apply on the parse path

@@ -428,3 +428,25 @@ def test_a_reader_holds_at_most_one_line_of_cells(wide_short_texts, which, read)
     # would take 5-6 times the text
     text = wide_short_texts[which]
     assert _heap_peak(read, text) <= 2.5 * len(text)
+
+
+@pytest.mark.parametrize(
+    "act, message",
+    [
+        (
+            lambda: parse_dataset_text("a\nb\n", "whitespace", "rows", has_ids=True),
+            "<string>: no numeric data after the id field",
+        ),
+        (
+            lambda: parse_dataset_text("a b c\n", "whitespace", "columns", has_ids=True),
+            "<string>: no numeric data after the id field",
+        ),
+        (lambda: parse_matrix_csv_text("id\n"), "<string>: header row has no ids"),
+        (lambda: parse_matrix_csv_text("id,a,b\na,1,0\n"), "<string>: 2 ids in header but 1 data rows"),
+        (lambda: parse_matrix_csv_text("id,a\na,1\nb,2\n"), "<string>: 1 ids in header but 2 data rows"),
+    ],
+)
+def test_refusals(act, message):
+    with pytest.raises(DatasetError) as exc:
+        act()
+    assert str(exc.value) == message

@@ -136,6 +136,16 @@ class TestParameterValidation:
         with pytest.raises(SpecError):
             OrderedWeightedMean((0.5, float("nan")))
 
+    @pytest.mark.parametrize("estimate", [WeightedMean, OrderedWeightedMean])
+    @pytest.mark.parametrize("weights", [(1.0,), (), [1]])
+    def test_fewer_than_two_weights_are_refused(self, estimate, weights):
+        # a weight vector pins the series length, and a series has two samples or more
+        with pytest.raises(SpecError) as exc:
+            estimate(weights)
+        assert str(exc.value) == (
+            f"need at least two weights, got {len(weights)}: a series has at least two samples"
+        )
+
     def test_weight_sum_tolerance(self):
         WeightedMean((0.5, 0.5 + 5e-10))
         with pytest.raises(SpecError):
@@ -147,6 +157,8 @@ class TestLengthRules:
         assert ArithmeticMean().bounds == (2, None)
         assert Projection(7).bounds == (7, None)
         assert OrderStatistic(1).bounds == (2, None)
+        assert Projection(1).bounds == (2, None)
+        assert TruncatedMean(0).bounds == (2, None)
         assert TruncatedMean(2).bounds == (5, None)
         assert GeneralizedMidrange(0, 2).bounds == (5, None)
         assert WeightedMean((0.25, 0.25, 0.5)).bounds == (3, 3)

@@ -47,6 +47,7 @@ from shapeassoc import (
 )
 from shapeassoc.estimates import central_values, scale_values
 from shapeassoc.measures import (
+    MeasureSpec,
     _cosine,
     associate_values,
     constant_ids,
@@ -645,3 +646,23 @@ def test_values_lie_within_8_eps_of_the_exact_ones(pair):
         for spec, exact in _EXACT_ROUTES:
             error = abs(Decimal(associate_values(spec, vx, vy)) - exact(rho))
             assert error <= Decimal(_EXACT_TOL), (type(spec).__name__, float(error / Decimal(2.0**-52)))
+
+
+class _Returns(MeasureSpec):
+    """A measure that returns a fixed value, whatever the series."""
+
+    tag = "returns"
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        return self.value
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_association_is_refused(value):
+    x, y = np.array([1.0, 2.0, 4.0]), np.array([3.0, 1.0, 2.0])
+    with pytest.raises(DomainError) as exc:
+        associate_values(_Returns(value), x, y)
+    assert str(exc.value) == f"association is not finite ({value}); the values overflow float64"

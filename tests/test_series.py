@@ -146,3 +146,18 @@ def test_is_constant_values_matches_the_full_comparison(values):
     got = is_constant_values(v)
     assert type(got) is bool
     assert got == bool(np.all(v == v[0]))
+
+
+@pytest.mark.parametrize(
+    "act, error, message",
+    [
+        (lambda: TimeSeries("", [1.0, 2.0]), SpecError, "series id must be a non-empty string"),
+        (lambda: TimeSeries(5, [1.0, 2.0]), SpecError, "series id must be a non-empty string"),
+        (lambda: load_set([(1, 2), (3, 4)], ids=["a"]), ShapeError, "got 1 ids for 2 rows"),
+        (lambda: load_set([(1, 2)], ids=["a", "b"]), ShapeError, "got 2 ids for 1 rows"),
+    ],
+)
+def test_refusals(act, error, message):
+    with pytest.raises(error) as exc:
+        act()
+    assert str(exc.value) == message
