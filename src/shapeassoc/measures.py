@@ -35,9 +35,19 @@ import numpy as np
 from .errors import ConstantSeriesError, DomainError, ShapeError, SpecError
 from .estimates import GeneralizedMidrange, minkowski_norm
 from .series import SeriesSet, TimeSeries, is_constant, is_constant_values
-from .standardize import Center, Standardization, standardize_values
+from .standardize import Center, Standardization, _standardized_once, standardize_values
 
 _BRANCH_TIE_TOL = 1e-12
+
+
+def _require_family(spec, *fields: tuple[str, type]) -> None:
+    """Refuse a field whose value is not of its spec family, naming both."""
+    for name, family in fields:
+        value = getattr(spec, name)
+        if not isinstance(value, family):
+            raise SpecError(
+                f"{type(spec).__name__}.{name} must be a {family.__name__}, got {type(value).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -52,6 +62,7 @@ class DissimilaritySpec:
     limits = property(lambda self: (0.0, 2.0 if self.normal else math.inf))
 
     def __post_init__(self):
+        _require_family(self, ("standardization", Standardization))
         if not (np.isfinite(self.r) and self.r >= 1.0):
             raise SpecError(f"Minkowski order must be >= 1, got {self.r!r}")
 
@@ -137,6 +148,7 @@ class ComplementDecay(DecayTransform):
     cap: float = 2.0
 
     def __post_init__(self):
+        _require_family(self, ("growth", GrowthTransform))
         if not (np.isfinite(self.cap) and self.cap > 0.0):
             raise SpecError(f"cap must be > 0, got {self.cap!r}")
         if grow(self.growth, self.cap) > 1.0 + 1e-12:
@@ -197,6 +209,9 @@ class SimilarityRecipe:
     decay: DecayTransform
     bounds = property(lambda self: self.dissimilarity.bounds)
     limits = (0.0, 1.0)
+
+    def __post_init__(self):
+        _require_family(self, ("dissimilarity", DissimilaritySpec), ("decay", DecayTransform))
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         return decay(self.decay, dissimilarity_values(self.dissimilarity, vx, vy))
@@ -265,6 +280,7 @@ class MinkowskiBranch(MeasureSpec):
     bounds = property(lambda self: self.dissimilarity.bounds)
 
     def __post_init__(self):
+        _require_family(self, ("dissimilarity", DissimilaritySpec), ("decay", DecayTransform))
         _require_branch_preconditions(self.dissimilarity, "branch association")
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
@@ -285,6 +301,7 @@ class MinkowskiContrast(MeasureSpec):
     bounds = property(lambda self: self.dissimilarity.bounds)
 
     def __post_init__(self):
+        _require_family(self, ("dissimilarity", DissimilaritySpec), ("growth", GrowthTransform))
         _require_branch_preconditions(self.dissimilarity, "contrast association")
         if not self.dissimilarity.normal:
             raise SpecError(
@@ -380,6 +397,9 @@ class CosineStandardized(MeasureSpec):
     bounds = property(lambda self: self.standardization.bounds)
     verified = property(lambda self: self.standardization.odd)
 
+    def __post_init__(self):
+        _require_family(self, ("standardization", Standardization))
+
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         fx = standardize_values(self.standardization, vx)
         fy = standardize_values(self.standardization, vy)
@@ -416,13 +436,16 @@ class AssociationMatrix:
 
 
 def association_matrix(spec: MeasureSpec, data: SeriesSet) -> AssociationMatrix:
-    """Pairwise associations; symmetric by construction, diagonal exactly 1."""
+    """Pairwise associations; symmetric by construction, diagonal exactly 1.
+
+    Each series is standardized once per standardization, not once per pair."""
     series = data.series
     k = len(series)
     out = np.ones((k, k))
-    for i, x in enumerate(series):
-        for j in range(i + 1, k):
-            out[i, j] = out[j, i] = associate(spec, x, series[j])
+    with _standardized_once(s.values for s in series):
+        for i, x in enumerate(series):
+            for j in range(i + 1, k):
+                out[i, j] = out[j, i] = associate(spec, x, series[j])
     out.flags.writeable = False
     return AssociationMatrix(data.ids, out)
 

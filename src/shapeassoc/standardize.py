@@ -16,6 +16,8 @@ dissimilarity of standardized series by 2; else None).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -96,9 +98,36 @@ class CenterScale(Standardization):
         return centered / spread
 
 
+# id of each series' values -> {standardization: F(values)}, while a matrix runs
+_store: ContextVar[dict[int, dict] | None] = ContextVar("_store", default=None)
+
+
+@contextmanager
+def _standardized_once(arrays):
+    """Within the block, standardize_values computes F(a) once per standardization
+    for each read-only array a, which the caller keeps alive until the block ends."""
+    token = _store.set({id(a): {} for a in arrays if not a.flags.writeable})
+    try:
+        yield
+    finally:
+        _store.reset(token)
+
+
 def standardize_values(spec: Standardization, v: np.ndarray) -> np.ndarray:
-    """Apply the standardization to a raw value vector."""
-    return spec.evaluate(v)
+    """Apply the standardization to a raw value vector.
+
+    Inside `association_matrix`, the values of a member series are
+    standardized once per standardization and the read-only result reused."""
+    store = _store.get()
+    results = None if store is None else store.get(id(v))
+    if results is None or type(spec).__hash__ is None:
+        return spec.evaluate(v)
+    out = results.get(spec)
+    if out is None:
+        out = spec.evaluate(v)
+        out.flags.writeable = False
+        results[spec] = out
+    return out
 
 
 def standardize(spec: Standardization, x: TimeSeries) -> TimeSeries:

@@ -1,4 +1,6 @@
+import importlib
 import math
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -45,14 +47,20 @@ from shapeassoc import (
     similarity,
     standardize,
 )
-from shapeassoc.estimates import central_values, scale_values
+from shapeassoc.bench import default_grid_measures
+from shapeassoc.config import from_dict
+from shapeassoc.errors import ShapeAssocError
+from shapeassoc.estimates import Median, central_values, scale_values
 from shapeassoc.measures import (
+    DecayTransform,
+    GrowthTransform,
     MeasureSpec,
     _cosine,
     associate_values,
     constant_ids,
     dissimilarity_values,
 )
+from shapeassoc.standardize import standardize_values
 
 from helpers import random_values, ts
 
@@ -205,6 +213,55 @@ class TestConstructorValidation:
             f = CenterScale(ArithmeticMean(), MinkowskiDeviation(2.0, Min()))
             MinkowskiContrast(DissimilaritySpec(2.0, f))
         MinkowskiContrast(DissimilaritySpec(3.0, preset("unit-mean", r=3.0)))
+
+    @pytest.mark.parametrize(
+        "ctor, args, field, family, got",
+        [
+            (ComplementDecay, (1.9,), "growth", "GrowthTransform", "float"),
+            (MinkowskiBranch, (D2_UNIT, 1.0), "decay", "DecayTransform", "float"),
+            (MinkowskiBranch, (UNIT_MEAN,), "dissimilarity", "DissimilaritySpec", "CenterScale"),
+            (MinkowskiContrast, (D2_UNIT, 2.0), "growth", "GrowthTransform", "float"),
+            (MinkowskiContrast, (D2_UNIT, ExpDecay()), "growth", "GrowthTransform", "ExpDecay"),
+            (SimilarityRecipe, (D2_UNIT, 1.0), "decay", "DecayTransform", "float"),
+            (SimilarityRecipe, (2.0, ExpDecay()), "dissimilarity", "DissimilaritySpec", "float"),
+            (DissimilaritySpec, (2.0, "unit-mean"), "standardization", "Standardization", "str"),
+            (CosineStandardized, (Median(),), "standardization", "Standardization", "Median"),
+        ],
+    )
+    def test_a_field_outside_its_family_is_refused_at_construction(self, ctor, args, field, family, got):
+        with pytest.raises(SpecError) as exc:
+            ctor(*args)
+        assert str(exc.value) == f"{ctor.__name__}.{field} must be a {family}, got {got}"
+
+    @pytest.mark.parametrize(
+        "d, family, message",
+        [
+            (
+                {"kind": "complement-decay", "growth": 1.9},
+                DecayTransform,
+                "GrowthTransform must be an object, got 1.9",
+            ),
+            (
+                {"kind": "minkowski-branch", "dissimilarity": {"r": 2, "standardization": "unit-mean"}, "decay": 1},
+                MeasureSpec,
+                "DecayTransform must be an object, got 1",
+            ),
+            (
+                {"kind": "cosine", "standardization": 2.0},
+                MeasureSpec,
+                "Standardization must be an object, got 2.0",
+            ),
+            (
+                {"kind": "power-half"},
+                DecayTransform,
+                "unknown DecayTransform kind 'power-half'",
+            ),
+        ],
+    )
+    def test_from_dict_refuses_with_its_own_message(self, d, family, message):
+        with pytest.raises(SpecError) as exc:
+            from_dict(d, family)
+        assert str(exc.value) == message
 
     def test_gmdr_correlation_parameters(self):
         with pytest.raises(SpecError):
@@ -587,6 +644,202 @@ class TestBitIdenticalToReference:
         want = _outcome(_ref_associate, standardize, vx, vy)
         assert want[0] is DomainError
         assert _outcome(associate_values, spec, vx, vy) == want
+
+
+# --- association_matrix standardizes each series once -----------------------
+
+
+def _reference_matrix(spec, data):
+    """The per-pair `associate` double loop that association_matrix replaced."""
+    k = len(data)
+    out = np.ones((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            out[i, j] = out[j, i] = associate(spec, data[i], data[j])
+    return out
+
+
+def _matrix_outcome(f, spec, data):
+    """The int64 view of f(spec, data), or the type and text of the error it raises."""
+    with np.errstate(all="ignore"):
+        try:
+            values = f(spec, data)
+        except ShapeAssocError as exc:
+            return type(exc), str(exc)
+    return np.asarray(values).view(np.int64).tolist()
+
+
+_CENTER_MIN_RECIPE = SimilarityRecipe(DissimilaritySpec(2.0, preset("center-min")), RationalDecay(1.0))
+_COMPLEMENT_RECIPE = SimilarityRecipe(D2_UNIT, ComplementDecay())
+_GRID = {m.name: m.measure for m in default_grid_measures()}
+_ONCE_MEASURES = [pytest.param(spec, id=name) for name, spec in _GRID.items()] + [
+    pytest.param(CosineStandardized(UNIT_MEAN), id="cosine-unit-mean"),
+    pytest.param(GeneralizedMidrangeCorrelation(0, 2), id="gmidrange-correlation"),
+    pytest.param(SimilarityBranch(_CENTER_MIN_RECIPE), id="similarity-branch"),
+    pytest.param(SimilarityDifference(_COMPLEMENT_RECIPE), id="similarity-difference"),
+    pytest.param(SimilarityComplement(_COMPLEMENT_RECIPE), id="similarity-complement"),
+]
+
+
+class _OnEachPair(MeasureSpec):
+    """A measure that calls `f(vx)` on each pair and returns 0.5."""
+
+    tag = "on-each-pair"
+
+    def __init__(self, f):
+        self.f = f
+
+    def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
+        self.f(vx)
+        return 0.5
+
+
+def _once_set(rng, n, scale=1.0):
+    """Five seeded rows, an equal-valued copy of the first and the second negated."""
+    rows = (rng.standard_normal((5, n)) + rng.uniform(-3.0, 3.0, size=(5, 1))) * scale
+    return load_set([*rows, rows[0], -rows[1]])
+
+
+class TestStandardizedOnce:
+    """Within association_matrix each series is standardized once per standardization."""
+
+    @pytest.mark.parametrize("n", [3, 7, 256, 4000])
+    @pytest.mark.parametrize("spec", _ONCE_MEASURES)
+    def test_matrix_bits_equal_the_per_pair_loop(self, spec, n):
+        data = _once_set(np.random.default_rng(n), n)
+        assert data[0].values is not data[5].values
+        want = _matrix_outcome(_reference_matrix, spec, data)
+        assert _matrix_outcome(lambda *a: association_matrix(*a).values, spec, data) == want
+        if n >= 5:
+            assert isinstance(want, list)
+
+    @pytest.mark.parametrize("spec", _ONCE_MEASURES)
+    @pytest.mark.parametrize("case", ["constant", "huge"])
+    def test_matrix_errors_equal_the_per_pair_loop(self, spec, case):
+        rng = np.random.default_rng(7)
+        if case == "constant":
+            rows = [*(rng.standard_normal((3, 7))), np.full(7, 2.5), rng.standard_normal(7)]
+            data = load_set(rows)
+        else:
+            data = _once_set(rng, 7, scale=1e200)
+        want = _matrix_outcome(_reference_matrix, spec, data)
+        assert want[0] in (ConstantSeriesError, DomainError)
+        assert _matrix_outcome(lambda *a: association_matrix(*a).values, spec, data) == want
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        """Record each array Center.evaluate is called on."""
+        seen = []
+        original = Center.evaluate
+
+        def counted(self, v):
+            seen.append(v)
+            return original(self, v)
+
+        monkeypatch.setattr(Center, "evaluate", counted)
+        return seen
+
+    def test_outside_a_matrix_every_call_computes_a_new_writeable_array(self, monkeypatch):
+        f = Center(Median())
+        good = _once_set(np.random.default_rng(3), 9)
+        bad = load_set([*(s.values for s in good), np.zeros(9)])
+        association_matrix(MinkowskiBranch(DissimilaritySpec(2.0, f)), good)
+        with pytest.raises(ConstantSeriesError):
+            association_matrix(MinkowskiBranch(DissimilaritySpec(2.0, f)), bad)
+        seen = self._count_evaluations(monkeypatch)
+        for data in (good, bad):
+            v = data[0].values
+            first, second = standardize_values(f, v), standardize_values(f, v)
+            assert first is not second and first.flags.writeable and second.flags.writeable
+        assert len(seen) == 4
+
+    def test_inside_a_matrix_only_member_arrays_are_stored_read_only(self, monkeypatch):
+        f = Center(Median())
+        results = []
+
+        def standardize_three_ways(vx):
+            copy, negated = vx.copy(), -vx
+            results.append((vx, *(standardize_values(f, v) for v in (vx, copy, negated))))
+
+        data = _once_set(np.random.default_rng(4), 9)
+        seen = self._count_evaluations(monkeypatch)
+        association_matrix(_OnEachPair(standardize_three_ways), data)
+        k = len(data)
+        pairs = k * (k - 1) // 2
+        assert len(results) == pairs
+        # one evaluation per distinct first-of-pair series, and one per fresh copy or negation
+        assert len(seen) == (k - 1) + 2 * pairs
+        stored = {}
+        for vx, fx, f_copy, f_neg in results:
+            assert stored.setdefault(id(vx), fx) is fx
+            assert not fx.flags.writeable
+            assert f_copy.flags.writeable and f_neg.flags.writeable
+            assert np.array_equal(f_copy, fx)
+
+    def test_an_error_is_raised_again_and_never_stored(self):
+        f = CenterScale(ArithmeticMean(), MinkowskiDeviation(2.0, ArithmeticMean()))
+        errors = []
+
+        def standardize_twice(vx):
+            for _ in range(2):
+                with pytest.raises(DomainError) as exc:
+                    standardize_values(f, vx)
+                errors.append(str(exc.value))
+
+        tiny = 1e-310 * np.array([1.0, -1.0, 2.0, -2.0])
+        association_matrix(_OnEachPair(standardize_twice), load_set([tiny, -tiny]))
+        assert errors == ["spread underflows to 0; the values are too small for float64"] * 2
+
+    def test_another_thread_sees_no_store(self):
+        f = Center(Median())
+        outs = []
+
+        def standardize_in_a_thread_then_here(vx):
+            worker = threading.Thread(target=lambda: outs.append(standardize_values(f, vx)))
+            worker.start()
+            worker.join()
+            outs.append(standardize_values(f, vx))
+
+        association_matrix(_OnEachPair(standardize_in_a_thread_then_here), load_set([[1, 2, 4], [3, 1, 2]]))
+        assert outs[0].flags.writeable and not outs[1].flags.writeable
+
+    def test_an_unhashable_standardization_is_computed_per_call(self):
+        class Unhashable(Center):
+            __hash__ = None
+
+        f = Unhashable(Median())
+        outs = []
+        data = load_set([[1, 2, 4], [3, 1, 2], [2, 2, 1]])
+        association_matrix(_OnEachPair(lambda vx: outs.append(standardize_values(f, vx))), data)
+        assert all(out.flags.writeable for out in outs)
+
+    @pytest.mark.parametrize(
+        "spec, standardizations, centers",
+        [
+            # 4 per pair as the perfbench pin has it; one center per series, plus one per pair for -y
+            pytest.param(_GRID["branch-median"], 4 * 36, 9 + 36, id="branch-median"),
+            pytest.param(_GRID["contrast-median"], 4 * 36, 9 + 36, id="contrast-median"),
+            pytest.param(CosineStandardized(UNIT_MEAN), 2 * 36, 9, id="cosine-unit-mean"),
+        ],
+    )
+    def test_the_store_engages(self, monkeypatch, spec, standardizations, centers):
+        calls = {"standardize_values": 0, "central_values": 0}
+
+        def counting(module, attr):
+            original = getattr(module, attr)
+
+            def wrapper(*args):
+                calls[attr] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        # the module, not the function that the package re-exports under its name
+        counting(importlib.import_module("shapeassoc.measures"), "standardize_values")
+        counting(importlib.import_module("shapeassoc.standardize"), "central_values")
+        data = load_set(np.random.default_rng(6).standard_normal((9, 40)))
+        association_matrix(spec, data)
+        assert calls == {"standardize_values": standardizations, "central_values": centers}
 
 
 # --- exact values on integer series -------------------------------------------
