@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, SpecError
 from .config import plain, to_dict, to_json
+from .estimates import Spec, _integer
 from .measures import MeasureSpec, associate_values
 from .series import is_constant_values
 
@@ -171,13 +172,12 @@ SAM_PROPERTIES = (
 
 
 @dataclass(frozen=True)
-class AbsSimilarity:
+class AbsSimilarity(Spec):
     """|A| of a measure, verified as a similarity in [0, 1]."""
 
     tag = "abs-similarity"
     kind = _SIM
     measure: MeasureSpec
-    bounds = property(lambda self: self.measure.bounds)
     limits = _LIMITS[_SIM]
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
@@ -349,13 +349,6 @@ class PropertyReport:
                 f"worst={r.worst_violation!r} {witness}"
             )
         return "\n".join(lines) + "\n"
-
-
-def _integer(name: str, value) -> int:
-    # a bool or float would also key the trial cache as an int
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SpecError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def applicable_properties(subject) -> tuple[PropertyId, ...]:

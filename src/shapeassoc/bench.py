@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .estimates import (
     Midrange,
     MinkowskiDeviation,
     Projection,
+    Spec,
     TruncatedMean,
 )
 from .measures import (
@@ -42,14 +42,12 @@ from .series import SeriesSet, load_set
 from .standardize import CenterScale
 
 
-class DatasetSpec:
+class DatasetSpec(Spec):
     """Family base: where a benchmark's series come from.
 
     `load()` returns the series set and the planted cluster id sets, or None
     when the dataset does not know its clusters.
     """
-
-    tag: ClassVar[str]
 
 
 @dataclass(frozen=True)
@@ -156,23 +154,25 @@ def generate_synthetic(spec: SyntheticDataset) -> tuple[SeriesSet, tuple[frozens
 
 
 @dataclass(frozen=True)
-class BenchmarkMeasure:
+class BenchmarkMeasure(Spec):
     name: str
     measure: MeasureSpec
     expect: str | None = None  # "all" | "not-all" | None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.expect not in (None, "all", "not-all"):
             raise SpecError(f"expectation must be 'all', 'not-all' or null, got {self.expect!r}")
 
 
 @dataclass(frozen=True)
-class BenchmarkSpec:
+class BenchmarkSpec(Spec):
     dataset: DatasetSpec
     measures: tuple[BenchmarkMeasure, ...]
     true_clusters: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.measures:
             raise SpecError("benchmark needs at least one measure")
         names = [m.name for m in self.measures]

@@ -3,7 +3,9 @@
 Every central estimate maps a series to a single number lying between its
 minimum and maximum. Estimates are small frozen spec objects; each class
 carries its JSON tag, its evaluation (`evaluate`), its length bounds and the
-algebraic traits that standardizations and measures rely on.
+algebraic traits that standardizations and measures rely on. `Spec`, the
+base of every spec family here and in the modules above, refuses a field
+outside its family and derives a composite's `bounds` from its parts.
 `central_values` and `scale_values` evaluate them on a value vector, with
 their length and overflow checks. `minkowski_norm` is the one order-r norm,
 used by MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of
@@ -17,7 +19,8 @@ used by MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -44,19 +47,56 @@ def _set_bounds(spec, lo: int, exact: int | None = None) -> None:
     object.__setattr__(spec, "bounds", (max(2, lo), exact))
 
 
-class CentralEstimate:
+def _integer(name: str, value) -> int:
+    # a bool or float is no index; int() makes a numpy integer JSON-writable
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+class Spec:
+    """Base of every spec: a JSON `tag` and length `bounds` (least, exact or None).
+
+    `__post_init__` refuses a field annotated with a Spec subclass, looked up
+    in the module of the class that declares it, whose value is outside that
+    class. It then sets `bounds` to the lengths all such fields accept. A
+    subclass with checks of its own calls it first.
+    """
+
+    tag: ClassVar[str]
+    bounds = (2, None)
+
+    def __post_init__(self):
+        parts = []
+        for f in fields(self):
+            family = f.type
+            if isinstance(family, str):  # a postponed annotation, named in its class's module
+                owners = (c for c in type(self).__mro__ if f.name in vars(c).get("__annotations__", {}))
+                family = vars(sys.modules[next(owners, type(self)).__module__]).get(family)
+            if isinstance(family, type) and issubclass(family, Spec):
+                value = getattr(self, f.name)
+                if not isinstance(value, family):
+                    what = f"{type(self).__name__}.{f.name}"
+                    raise SpecError(f"{what} must be a {family.__name__}, got {type(value).__name__}")
+                parts.append((f.name, *value.bounds))
+        lo = max((n for _, n, _ in parts), default=2)
+        exact = {e for _, _, e in parts if e is not None}
+        if len(exact) > 1 or any(e < lo for e in exact):
+            sides = (f"the {name} (length {f'>= {n}' if e is None else e})" for name, n, e in parts)
+            raise SpecError(f"no length meets both {' and '.join(sides)}")
+        object.__setattr__(self, "bounds", (lo, exact.pop() if exact else None))
+
+
+class CentralEstimate(Spec):
     """Family base of the central estimates.
 
     Every catalog estimate is translation additive and scale proportional.
     `odd` holds for the symmetric ones; Min/Max/OrderStatistic swap under
     negation instead (OS_k(-x) = -OS_{n+1-k}(x)), and ordered weighted means
-    are only odd for palindromic weights, which we do not claim. `bounds` is
-    (minimum length, exact length or None), fixed at construction.
+    are only odd for palindromic weights, which we do not claim.
     """
 
-    tag: ClassVar[str]
     odd: ClassVar[bool] = False
-    bounds = (2, None)
 
 
 @dataclass(frozen=True)
@@ -95,6 +135,7 @@ class Projection(CentralEstimate):
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer("Projection.k", self.k))
         if self.k < 1:
             raise SpecError(f"projection index must be >= 1, got {self.k}")
         _set_bounds(self, self.k)
@@ -111,6 +152,7 @@ class OrderStatistic(CentralEstimate):
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer("OrderStatistic.k", self.k))
         if self.k < 1:
             raise SpecError(f"order statistic index must be >= 1, got {self.k}")
         _set_bounds(self, self.k)
@@ -144,6 +186,7 @@ class TruncatedMean(CentralEstimate):
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer("TruncatedMean.m", self.m))
         if self.m < 0:
             raise SpecError(f"truncation count must be >= 0, got {self.m}")
         _set_bounds(self, 2 * self.m + 1)
@@ -165,6 +208,8 @@ class GeneralizedMidrange(CentralEstimate):
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer("GeneralizedMidrange.k", self.k))
+        object.__setattr__(self, "m", _integer("GeneralizedMidrange.m", self.m))
         if not 0 <= self.k < self.m:
             raise SpecError(f"need 0 <= k < m, got k={self.k}, m={self.m}")
         _set_bounds(self, 2 * self.m + 1)
@@ -220,15 +265,12 @@ class OrderedWeightedMean(CentralEstimate):
         return float(np.dot(self.weights, np.sort(v)))
 
 
-class ScaleEstimate:
+class ScaleEstimate(Spec):
     """Family base of the scale estimates.
 
     Every one is translation invariant and scale proportional; `even` means
     S(-x) = S(x).
     """
-
-    tag: ClassVar[str]
-    bounds = (2, None)
 
 
 @dataclass(frozen=True)
@@ -255,9 +297,9 @@ class MinkowskiDeviation(ScaleEstimate):
     center: CentralEstimate
 
     def __post_init__(self):
+        super().__post_init__()
         if not (np.isfinite(self.r) and self.r >= 1.0):
             raise SpecError(f"deviation order must be >= 1, got {self.r!r}")
-        _set_bounds(self, *self.center.bounds)
 
     @property
     def even(self) -> bool:

@@ -18,7 +18,7 @@ built two ways:
 
 Validated constructors (MinkowskiBranch, MinkowskiContrast) refuse
 standardizations that break these preconditions. The Similarity* constructors
-accept any recipe unchecked; the axiom harness exists to catch bad ones.
+accept any recipe without them; the axiom harness exists to catch bad ones.
 Pearson and CosineStandardized share one cosine formula: Pearson is the
 cosine of the mean-centered vectors, and GeneralizedMidrangeCorrelation
 builds the cosine over a generalized-midrange centering.
@@ -33,36 +33,25 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, ShapeError, SpecError
-from .estimates import GeneralizedMidrange, minkowski_norm
+from .estimates import GeneralizedMidrange, Spec, minkowski_norm
 from .series import SeriesSet, TimeSeries, is_constant, is_constant_values
 from .standardize import Center, Standardization, _standardized_once, standardize_values
 
 _BRANCH_TIE_TOL = 1e-12
 
 
-def _require_family(spec, *fields: tuple[str, type]) -> None:
-    """Refuse a field whose value is not of its spec family, naming both."""
-    for name, family in fields:
-        value = getattr(spec, name)
-        if not isinstance(value, family):
-            raise SpecError(
-                f"{type(spec).__name__}.{name} must be a {family.__name__}, got {type(value).__name__}"
-            )
-
-
 @dataclass(frozen=True)
-class DissimilaritySpec:
+class DissimilaritySpec(Spec):
     """Minkowski distance of order r between standardized series."""
 
     tag = "minkowski"
     kind = "dissimilarity"
     r: float
     standardization: Standardization
-    bounds = property(lambda self: self.standardization.bounds)
     limits = property(lambda self: (0.0, 2.0 if self.normal else math.inf))
 
     def __post_init__(self):
-        _require_family(self, ("standardization", Standardization))
+        super().__post_init__()
         if not (np.isfinite(self.r) and self.r >= 1.0):
             raise SpecError(f"Minkowski order must be >= 1, got {self.r!r}")
 
@@ -83,16 +72,12 @@ class DissimilaritySpec:
 # --- transforms between dissimilarity and similarity ------------------------
 
 
-class DecayTransform:
+class DecayTransform(Spec):
     """Family base: similarity from dissimilarity, 1 at 0, strictly decreasing."""
 
-    tag: ClassVar[str]
 
-
-class GrowthTransform:
+class GrowthTransform(Spec):
     """Family base: increasing map used by the contrast form; 0 at 0, 1 at 2."""
-
-    tag: ClassVar[str]
 
 
 @dataclass(frozen=True)
@@ -148,7 +133,7 @@ class ComplementDecay(DecayTransform):
     cap: float = 2.0
 
     def __post_init__(self):
-        _require_family(self, ("growth", GrowthTransform))
+        super().__post_init__()
         if not (np.isfinite(self.cap) and self.cap > 0.0):
             raise SpecError(f"cap must be > 0, got {self.cap!r}")
         if grow(self.growth, self.cap) > 1.0 + 1e-12:
@@ -200,18 +185,14 @@ def dissimilarity(spec: DissimilaritySpec, x: TimeSeries, y: TimeSeries) -> floa
 
 
 @dataclass(frozen=True)
-class SimilarityRecipe:
+class SimilarityRecipe(Spec):
     """Similarity S(x, y) = decay(D(x, y)). Unvalidated building block."""
 
     tag = "similarity-recipe"
     kind = "similarity"
     dissimilarity: DissimilaritySpec
     decay: DecayTransform
-    bounds = property(lambda self: self.dissimilarity.bounds)
     limits = (0.0, 1.0)
-
-    def __post_init__(self):
-        _require_family(self, ("dissimilarity", DissimilaritySpec), ("decay", DecayTransform))
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         return decay(self.decay, dissimilarity_values(self.dissimilarity, vx, vy))
@@ -226,7 +207,7 @@ def similarity(spec: SimilarityRecipe, x: TimeSeries, y: TimeSeries) -> float:
 # --- association constructors -------------------------------------------------
 
 
-class MeasureSpec:
+class MeasureSpec(Spec):
     """Family base of the association measures, A(x, y) in [-1, 1].
 
     `verified` is True when construction-time validation already guarantees
@@ -234,10 +215,8 @@ class MeasureSpec:
     the axiom harness on them before trusting results.
     """
 
-    tag: ClassVar[str]
     kind: ClassVar[str] = "association"
     verified = True
-    bounds = (2, None)
     limits = (-1.0, 1.0)
 
     def checked(self, vx: np.ndarray, vy: np.ndarray) -> float:
@@ -277,10 +256,9 @@ class MinkowskiBranch(MeasureSpec):
     tag = "minkowski-branch"
     dissimilarity: DissimilaritySpec
     decay: DecayTransform = RationalDecay(1.0)
-    bounds = property(lambda self: self.dissimilarity.bounds)
 
     def __post_init__(self):
-        _require_family(self, ("dissimilarity", DissimilaritySpec), ("decay", DecayTransform))
+        super().__post_init__()
         _require_branch_preconditions(self.dissimilarity, "branch association")
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
@@ -298,10 +276,9 @@ class MinkowskiContrast(MeasureSpec):
     tag = "minkowski-contrast"
     dissimilarity: DissimilaritySpec
     growth: GrowthTransform = PowerHalf(2.0)
-    bounds = property(lambda self: self.dissimilarity.bounds)
 
     def __post_init__(self):
-        _require_family(self, ("dissimilarity", DissimilaritySpec), ("growth", GrowthTransform))
+        super().__post_init__()
         _require_branch_preconditions(self.dissimilarity, "contrast association")
         if not self.dissimilarity.normal:
             raise SpecError(
@@ -322,7 +299,6 @@ class SimilarityBranch(MeasureSpec):
     tag = "similarity-branch"
     verified = False
     recipe: SimilarityRecipe
-    bounds = property(lambda self: self.recipe.bounds)
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         d_same, d_reflected = _both_orientations(self.recipe.dissimilarity, vx, vy)
@@ -340,7 +316,6 @@ class SimilarityDifference(MeasureSpec):
     tag = "similarity-difference"
     verified = False
     recipe: SimilarityRecipe
-    bounds = property(lambda self: self.recipe.bounds)
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         d_same, d_reflected = _both_orientations(self.recipe.dissimilarity, vx, vy)
@@ -357,7 +332,6 @@ class SimilarityComplement(MeasureSpec):
     tag = "similarity-complement"
     verified = False
     recipe: SimilarityRecipe
-    bounds = property(lambda self: self.recipe.bounds)
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         return 2.0 * self.recipe.evaluate(vx, vy) - 1.0
@@ -394,11 +368,7 @@ class CosineStandardized(MeasureSpec):
 
     tag = "cosine"
     standardization: Standardization
-    bounds = property(lambda self: self.standardization.bounds)
     verified = property(lambda self: self.standardization.odd)
-
-    def __post_init__(self):
-        _require_family(self, ("standardization", Standardization))
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         fx = standardize_values(self.standardization, vx)

@@ -31,6 +31,7 @@ from .estimates import (
     Min,
     MinkowskiDeviation,
     ScaleEstimate,
+    Spec,
     central_values,
     finite_scale,
     minkowski_norm,
@@ -39,10 +40,9 @@ from .estimates import (
 from .series import TimeSeries, is_constant_values
 
 
-class Standardization:
+class Standardization(Spec):
     """Family base of the standardizations."""
 
-    tag: ClassVar[str]
     scale_invariant: ClassVar[bool]
     normality_order = None
 
@@ -54,7 +54,6 @@ class Center(Standardization):
     tag = "center"
     scale_invariant = False
     center: CentralEstimate
-    bounds = property(lambda self: self.center.bounds)
     odd = property(lambda self: self.center.odd)
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
@@ -72,17 +71,11 @@ class CenterScale(Standardization):
     odd = property(lambda self: self.center.odd and self.spread.even)
 
     def __post_init__(self):
+        super().__post_init__()
         # r when the spread is the order-r Minkowski deviation of the same center
         s = self.spread
         r = s.r if isinstance(s, MinkowskiDeviation) and s.center == self.center else None
         object.__setattr__(self, "normality_order", r)
-        bounds = self.center.bounds, self.spread.bounds
-        (lo, exact), (lo2, exact2) = bounds
-        lo, fixed = max(lo, lo2), exact if exact is not None else exact2
-        if fixed is not None and (fixed < lo or exact2 not in (None, fixed)):
-            center, spread = (f"length >= {n}" if e is None else f"length {e}" for n, e in bounds)
-            raise SpecError(f"no length meets both the center ({center}) and the spread ({spread})")
-        object.__setattr__(self, "bounds", (lo, fixed))
 
     def evaluate(self, v: np.ndarray) -> np.ndarray:
         if is_constant_values(v):

@@ -21,6 +21,7 @@ from shapeassoc import (
     TruncatedMean,
     WeightedMean,
 )
+from shapeassoc.config import to_json
 from shapeassoc.estimates import central_values, minkowski_norm, scale_values
 
 from helpers import random_values, ts
@@ -113,6 +114,29 @@ class TestParameterValidation:
             OrderStatistic(0)
         with pytest.raises(SpecError):
             TruncatedMean(-1)
+
+    @pytest.mark.parametrize(
+        "ctor, field, value",
+        [
+            (Projection, "Projection.k", 2.0),
+            (OrderStatistic, "OrderStatistic.k", 2.0),
+            (TruncatedMean, "TruncatedMean.m", True),
+            (lambda v: GeneralizedMidrange(v, 2), "GeneralizedMidrange.k", 0.0),
+            (lambda v: GeneralizedMidrange(0, v), "GeneralizedMidrange.m", 2.5),
+            (lambda v: GeneralizedMidrange(0, v), "GeneralizedMidrange.m", False),
+        ],
+        ids=["float-k", "float-order", "bool-m", "float-gmdr-k", "float-gmdr-m", "bool-gmdr-m"],
+    )
+    def test_index_fields_refuse_non_integers(self, ctor, field, value):
+        with pytest.raises(SpecError) as exc:
+            ctor(value)
+        assert str(exc.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_index_fields_store_numpy_integers_as_int(self):
+        spec = GeneralizedMidrange(np.int64(1), np.int32(3))
+        assert type(spec.k) is int and type(spec.m) is int and spec.bounds == (7, None)
+        assert to_json(Projection(np.int64(2))) == to_json(Projection(2))
+        assert type(OrderStatistic(np.int16(2)).k) is int and type(TruncatedMean(np.uint8(1)).m) is int
 
     def test_gmdr_bounds(self):
         with pytest.raises(SpecError):

@@ -1,6 +1,10 @@
+import dataclasses
 import importlib
 import math
+import sys
 import threading
+import types
+import typing
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -47,10 +51,10 @@ from shapeassoc import (
     similarity,
     standardize,
 )
-from shapeassoc.bench import default_grid_measures
+from shapeassoc.bench import BenchmarkMeasure, BenchmarkSpec, SyntheticDataset, default_grid_measures
 from shapeassoc.config import from_dict
 from shapeassoc.errors import ShapeAssocError
-from shapeassoc.estimates import Median, central_values, scale_values
+from shapeassoc.estimates import Median, Spec, central_values, scale_values
 from shapeassoc.measures import (
     DecayTransform,
     GrowthTransform,
@@ -63,11 +67,46 @@ from shapeassoc.measures import (
 from shapeassoc.standardize import standardize_values
 
 from helpers import random_values, ts
+from test_golden import _spec_of_every_kind
 
 UNIT_MEAN = preset("unit-mean")
 CENTER_MEAN = preset("center-mean")
 D2_UNIT = DissimilaritySpec(2.0, UNIT_MEAN)
 D2_CENTER = DissimilaritySpec(2.0, CENTER_MEAN)
+
+
+def _composites() -> list[tuple[object, dict[str, type]]]:
+    """(spec, {field: family}) of every spec with a family-typed field that is
+    reachable from one spec of every kind, one benchmark measure and one
+    benchmark spec. Families come from the resolved type hints."""
+    out = []
+
+    def walk(value):
+        if isinstance(value, tuple):
+            for v in value:
+                walk(v)
+        if not dataclasses.is_dataclass(value):
+            return
+        hints = typing.get_type_hints(type(value))
+        fields = [(f.name, hints[f.name]) for f in dataclasses.fields(value)]
+        families = {name: t for name, t in fields if isinstance(t, type) and issubclass(t, Spec)}
+        if families:
+            out.append((value, families))
+        for name, _ in fields:
+            walk(getattr(value, name))
+
+    bench = BenchmarkSpec(SyntheticDataset(), (BenchmarkMeasure("p", Pearson()),))
+    for spec in (*_spec_of_every_kind().values(), bench):
+        walk(spec)
+    return out
+
+
+# (class name, field) -> (an instance, the field's family), once per class and field
+_FAMILY_FIELDS = {
+    (type(spec).__name__, name): (spec, family)
+    for spec, families in _composites()
+    for name, family in families.items()
+}
 
 
 class TestTransforms:
@@ -233,6 +272,26 @@ class TestConstructorValidation:
             ctor(*args)
         assert str(exc.value) == f"{ctor.__name__}.{field} must be a {family}, got {got}"
 
+    @pytest.mark.parametrize("cls, field", sorted(_FAMILY_FIELDS))
+    def test_every_family_field_is_refused_outside_its_family(self, cls, field):
+        spec, family = _FAMILY_FIELDS[cls, field]
+        with pytest.raises(SpecError) as exc:
+            dataclasses.replace(spec, **{field: 1.0})
+        assert str(exc.value) == f"{cls}.{field} must be a {family.__name__}, got float"
+
+    def test_a_subclass_in_another_module_keeps_its_fields_checked(self, monkeypatch):
+        # that module names none of the families its inherited fields hold
+        monkeypatch.setitem(sys.modules, "elsewhere", types.ModuleType("elsewhere"))
+        branch = type("Branch", (MinkowskiBranch,), {"__module__": "elsewhere"})
+        assert branch(DissimilaritySpec(2.0, preset("unit-gmidrange"))).bounds == (5, None)
+        with pytest.raises(SpecError) as exc:
+            branch(D2_UNIT, 1.0)
+        assert str(exc.value) == "Branch.decay must be a DecayTransform, got float"
+
+    def test_the_family_fields_span_every_composite_class(self):
+        assert len(_FAMILY_FIELDS) == 19
+        assert len({cls for cls, _ in _FAMILY_FIELDS}) == 15
+
     @pytest.mark.parametrize(
         "d, family, message",
         [
@@ -281,6 +340,18 @@ class TestConstructorValidation:
         assert GeneralizedMidrangeCorrelation(0, 2).bounds == (5, None)
         branch = MinkowskiBranch(DissimilaritySpec(2.0, preset("unit-gmidrange")))
         assert branch.bounds == (5, None)
+
+    def test_a_composite_accepts_the_lengths_all_its_parts_accept(self):
+        seen = set()
+        for spec, families in _composites():
+            parts = [getattr(spec, name).bounds for name in families]
+            exact = {e for _, e in parts if e is not None}
+            assert len(exact) <= 1, spec
+            want = (max(n for n, _ in parts), exact.pop() if exact else None)
+            assert spec.bounds == want, spec
+            seen.add(want)
+        # the walk meets a raised least length and an exact length
+        assert any(n > 2 for n, _ in seen) and any(e is not None for _, e in seen)
 
 
 class TestAssociate:
