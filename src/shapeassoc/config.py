@@ -53,6 +53,8 @@ def to_dict(spec) -> dict:
 
 def plain(value):
     """`value` as JSON data, by the rules of the module docstring."""
+    if isinstance(value, str):  # first: a tree's ids are most of what is written
+        return value
     if isinstance(value, float):
         return value if math.isfinite(value) else repr(float(value))
     if isinstance(value, (tuple, list)):

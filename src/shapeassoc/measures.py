@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConstantSeriesError, DomainError, ShapeError, SpecError
 from .estimates import GeneralizedMidrange, Spec, minkowski_norm
 from .series import SeriesSet, TimeSeries, is_constant, is_constant_values
-from .standardize import Center, Standardization, _standardized_once, standardize_values
+from .standardize import Center, Standardization, _negated, _once, _standardized_once, standardize_values
 
 _BRANCH_TIE_TOL = 1e-12
 
@@ -233,7 +233,7 @@ def _require_branch_preconditions(dissim: DissimilaritySpec, what: str) -> None:
 
 
 def _both_orientations(dissim: DissimilaritySpec, vx: np.ndarray, vy: np.ndarray) -> tuple[float, float]:
-    return dissimilarity_values(dissim, vx, vy), dissimilarity_values(dissim, vx, -vy)
+    return dissimilarity_values(dissim, vx, vy), dissimilarity_values(dissim, vx, _negated(vy))
 
 
 def _branch_value(d_same: float, d_reflected: float, s_spec: DecayTransform) -> float:
@@ -337,9 +337,10 @@ class SimilarityComplement(MeasureSpec):
         return 2.0 * self.recipe.evaluate(vx, vy) - 1.0
 
 
-def _cosine(fx: np.ndarray, fy: np.ndarray) -> float:
+def _cosine(fx: np.ndarray, fy: np.ndarray, xx: float, yy: float) -> float:
+    """fx . fy / sqrt(xx * yy), where xx and yy are the squared norms of fx and fy."""
     # Python floats and math.sqrt: correctly rounded like numpy's, without the scalar overhead
-    denom = math.sqrt(float(np.dot(fx, fx)) * float(np.dot(fy, fy)))
+    denom = math.sqrt(xx * yy)
     if denom == 0.0:
         if fx.any() and fy.any():
             raise DomainError("norm product underflows to 0; the values are too small for float64")
@@ -358,8 +359,16 @@ class Pearson(MeasureSpec):
     tag = "pearson"
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
-        # sum / size is ndarray.mean bit for bit, without its Python wrapper
-        return _cosine(vx - vx.sum() / vx.size, vy - vy.sum() / vy.size)
+        fx, xx = _once(_mean_centered, vx, _mean_centered)
+        fy, yy = _once(_mean_centered, vy, _mean_centered)
+        return _cosine(fx, fy, xx, yy)
+
+
+def _mean_centered(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """v less its mean, and the squared norm of that."""
+    # sum / size is ndarray.mean bit for bit, without its Python wrapper
+    f = v - v.sum() / v.size
+    return f, float(np.dot(f, f))
 
 
 @dataclass(frozen=True)
@@ -373,7 +382,7 @@ class CosineStandardized(MeasureSpec):
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         fx = standardize_values(self.standardization, vx)
         fy = standardize_values(self.standardization, vy)
-        return _cosine(fx, fy)
+        return _cosine(fx, fy, float(np.dot(fx, fx)), float(np.dot(fy, fy)))
 
 
 def GeneralizedMidrangeCorrelation(k: int = 0, m: int = 2) -> CosineStandardized:
@@ -408,7 +417,8 @@ class AssociationMatrix:
 def association_matrix(spec: MeasureSpec, data: SeriesSet) -> AssociationMatrix:
     """Pairwise associations; symmetric by construction, diagonal exactly 1.
 
-    Each series is standardized once per standardization, not once per pair."""
+    Each series, and its negation, is standardized once per standardization,
+    and mean-centered once for Pearson, not once per pair."""
     series = data.series
     k = len(series)
     out = np.ones((k, k))

@@ -91,14 +91,16 @@ class CenterScale(Standardization):
         return centered / spread
 
 
-# id of each series' values -> {standardization: F(values)}, while a matrix runs
+# id of each member array -> {key: its result}, while a matrix runs. A member is a
+# read-only series' values, or an array stored here: F(v) per standardization, the
+# negation -v and in turn F(-v), Pearson's centered vector with its squared norm.
 _store: ContextVar[dict[int, dict] | None] = ContextVar("_store", default=None)
 
 
 @contextmanager
 def _standardized_once(arrays):
-    """Within the block, standardize_values computes F(a) once per standardization
-    for each read-only array a, which the caller keeps alive until the block ends."""
+    """Within the block, per-series work is computed once per key for each
+    read-only array a, which the caller keeps alive until the block ends."""
     token = _store.set({id(a): {} for a in arrays if not a.flags.writeable})
     try:
         yield
@@ -106,21 +108,36 @@ def _standardized_once(arrays):
         _store.reset(token)
 
 
+def _once(key, v: np.ndarray, compute):
+    """compute(v): a new array, or a tuple led by one. Inside a matrix, for a member
+    array v, computed once per key; its array is then read-only and a member too."""
+    store = _store.get()
+    results = None if store is None else store.get(id(v))
+    if results is None:
+        return compute(v)
+    out = results.get(key)
+    if out is None:
+        out = results[key] = compute(v)
+        a = out[0] if type(out) is tuple else out
+        a.flags.writeable = False
+        store.setdefault(id(a), {})
+    return out
+
+
+def _negated(v: np.ndarray) -> np.ndarray:
+    """-v; inside a matrix, one stored negation per member array, made on first use."""
+    return _once(_negated, v, np.negative)
+
+
 def standardize_values(spec: Standardization, v: np.ndarray) -> np.ndarray:
     """Apply the standardization to a raw value vector.
 
-    Inside `association_matrix`, the values of a member series are
-    standardized once per standardization and the read-only result reused."""
-    store = _store.get()
-    results = None if store is None else store.get(id(v))
-    if results is None or type(spec).__hash__ is None:
+    Inside `association_matrix`, the values of a member series, and their
+    negation, are standardized once per standardization and the read-only
+    result reused."""
+    if type(spec).__hash__ is None:
         return spec.evaluate(v)
-    out = results.get(spec)
-    if out is None:
-        out = spec.evaluate(v)
-        out.flags.writeable = False
-        results[spec] = out
-    return out
+    return _once(spec, v, spec.evaluate)
 
 
 def standardize(spec: Standardization, x: TimeSeries) -> TimeSeries:

@@ -9,12 +9,15 @@ sort_keys=True)` byte for byte.
 from __future__ import annotations
 
 import enum
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import shapeassoc
 from shapeassoc import (
     ArithmeticMean,
     Center,
@@ -160,3 +163,13 @@ def test_plain_rules():
     assert plain({"a": (1, (2,)), "b": None}) == {"a": [1, [2]], "b": None}
     assert plain([_Custom()]) == [{"custom": True}]
     assert to_json({"b": (1,), "a": math.nan}) == '{\n  "a": "nan",\n  "b": [\n    1\n  ]\n}'
+
+
+def test_no_enum_of_the_package_is_a_str():
+    # plain returns a str before its Enum rule, which a str-mixin Enum would skip
+    enums = []
+    for info in pkgutil.iter_modules(shapeassoc.__path__):
+        module = importlib.import_module(f"shapeassoc.{info.name}")
+        enums += [c for c in vars(module).values() if isinstance(c, enum.EnumType) and c.__module__ == module.__name__]
+    assert PropertyId in enums
+    assert [c for c in enums if issubclass(c, str)] == []

@@ -59,12 +59,12 @@ from shapeassoc.measures import (
     DecayTransform,
     GrowthTransform,
     MeasureSpec,
-    _cosine,
+    _mean_centered,
     associate_values,
     constant_ids,
     dissimilarity_values,
 )
-from shapeassoc.standardize import standardize_values
+from shapeassoc.standardize import _negated, _once, standardize_values
 
 from helpers import random_values, ts
 from test_golden import _spec_of_every_kind
@@ -457,7 +457,7 @@ class TestCrossRouteEquivalences:
             assert associate(Pearson(), x, y) == associate(cosine, x, y)
 
     def test_gmidrange_correlation_is_cosine_of_gmidrange_centered(self):
-        # the formula of the former class: _cosine of the two centered vectors
+        # the formula of the former class: the reference cosine of the two centered vectors
         assert not isinstance(GeneralizedMidrangeCorrelation, type)
         rng = np.random.default_rng(53)
         for k, m in ((0, 2), (1, 3), (0, 1)):
@@ -467,7 +467,7 @@ class TestCrossRouteEquivalences:
             for _ in range(100):
                 n = int(rng.integers(2 * m + 1, 50))
                 vx, vy = random_values(rng, n), random_values(rng, n)
-                old = _cosine(centering.evaluate(vx), centering.evaluate(vy))
+                old = _ref_cosine(centering.evaluate(vx), centering.evaluate(vy))
                 assert associate(spec, ts(vx), ts(vy, "y")) == old
 
     def test_cosine_route_matches_explicit_standardize(self):
@@ -744,6 +744,7 @@ _CENTER_MIN_RECIPE = SimilarityRecipe(DissimilaritySpec(2.0, preset("center-min"
 _COMPLEMENT_RECIPE = SimilarityRecipe(D2_UNIT, ComplementDecay())
 _GRID = {m.name: m.measure for m in default_grid_measures()}
 _ONCE_MEASURES = [pytest.param(spec, id=name) for name, spec in _GRID.items()] + [
+    pytest.param(Pearson(), id="pearson"),
     pytest.param(CosineStandardized(UNIT_MEAN), id="cosine-unit-mean"),
     pytest.param(GeneralizedMidrangeCorrelation(0, 2), id="gmidrange-correlation"),
     pytest.param(SimilarityBranch(_CENTER_MIN_RECIPE), id="similarity-branch"),
@@ -771,8 +772,33 @@ def _once_set(rng, n, scale=1.0):
     return load_set([*rows, rows[0], -rows[1]])
 
 
+def _tie_set(rng, n):
+    """Three rows x with x[s] == x and three rows y with y[s] == -y, for a swap s of
+    index pairs that fixes the second index (Projection(2)'s sample). A standardization
+    that commutes with permutations, odd or not, puts each x as far from y as from -y:
+    the branch form's tie."""
+    rest = [i for i in range(n) if i != 1]
+    left, right = rest[0 : len(rest) - 1 : 2], rest[1::2]
+    s = np.arange(n)
+    s[left], s[right] = right, left
+    x = rng.standard_normal((3, n)) + rng.uniform(-3.0, 3.0, size=(3, 1))
+    y = rng.standard_normal((3, n))
+    return load_set([*((x + x[:, s]) / 2.0), *((y - y[:, s]) / 2.0)])
+
+
+# each per-series result the store holds: (route, evaluations of F per call)
+_ROUTES = {
+    "F(v)": (lambda f, v: standardize_values(f, v), 1),
+    "-v": (lambda f, v: _negated(v), 0),
+    "F(-v)": (lambda f, v: standardize_values(f, _negated(v)), 1),
+    "centered": (lambda f, v: _once(_mean_centered, v, _mean_centered)[0], 0),
+}
+_STANDARDIZED = ["F(v)", "F(-v)"]
+
+
 class TestStandardizedOnce:
-    """Within association_matrix each series is standardized once per standardization."""
+    """Within association_matrix each series, and its negation, is standardized
+    once per standardization, and mean-centered once."""
 
     @pytest.mark.parametrize("n", [3, 7, 256, 4000])
     @pytest.mark.parametrize("spec", _ONCE_MEASURES)
@@ -783,6 +809,16 @@ class TestStandardizedOnce:
         assert _matrix_outcome(lambda *a: association_matrix(*a).values, spec, data) == want
         if n >= 5:
             assert isinstance(want, list)
+
+    @pytest.mark.parametrize("n", [6, 7, 256])
+    @pytest.mark.parametrize("spec", _ONCE_MEASURES)
+    def test_matrix_bits_equal_the_per_pair_loop_on_ties(self, spec, n):
+        data = _tie_set(np.random.default_rng(n), n)
+        want = _matrix_outcome(_reference_matrix, spec, data)
+        assert _matrix_outcome(lambda *a: association_matrix(*a).values, spec, data) == want
+        if isinstance(spec, (MinkowskiBranch, SimilarityBranch)):
+            # every x-y pair ties, and a tie reads exactly +0.0
+            assert [row[3:] for row in want[:3]] == [[0] * 3] * 3
 
     @pytest.mark.parametrize("spec", _ONCE_MEASURES)
     @pytest.mark.parametrize("case", ["constant", "huge"])
@@ -810,8 +846,10 @@ class TestStandardizedOnce:
         monkeypatch.setattr(Center, "evaluate", counted)
         return seen
 
-    def test_outside_a_matrix_every_call_computes_a_new_writeable_array(self, monkeypatch):
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_outside_a_matrix_every_call_computes_a_new_writeable_array(self, monkeypatch, route):
         f = Center(Median())
+        compute, evaluations = _ROUTES[route]
         good = _once_set(np.random.default_rng(3), 9)
         bad = load_set([*(s.values for s in good), np.zeros(9)])
         association_matrix(MinkowskiBranch(DissimilaritySpec(2.0, f)), good)
@@ -820,26 +858,31 @@ class TestStandardizedOnce:
         seen = self._count_evaluations(monkeypatch)
         for data in (good, bad):
             v = data[0].values
-            first, second = standardize_values(f, v), standardize_values(f, v)
+            first, second = compute(f, v), compute(f, v)
             assert first is not second and first.flags.writeable and second.flags.writeable
-        assert len(seen) == 4
+            assert np.array_equal(first, second)
+            if route == "-v":
+                assert np.array_equal(first, -v)
+        assert len(seen) == 4 * evaluations
 
-    def test_inside_a_matrix_only_member_arrays_are_stored_read_only(self, monkeypatch):
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_inside_a_matrix_only_member_arrays_are_stored_read_only(self, monkeypatch, route):
         f = Center(Median())
+        compute, evaluations = _ROUTES[route]
         results = []
 
-        def standardize_three_ways(vx):
+        def compute_three_ways(vx):
             copy, negated = vx.copy(), -vx
-            results.append((vx, *(standardize_values(f, v) for v in (vx, copy, negated))))
+            results.append((vx, *(compute(f, v) for v in (vx, copy, negated))))
 
         data = _once_set(np.random.default_rng(4), 9)
         seen = self._count_evaluations(monkeypatch)
-        association_matrix(_OnEachPair(standardize_three_ways), data)
+        association_matrix(_OnEachPair(compute_three_ways), data)
         k = len(data)
         pairs = k * (k - 1) // 2
         assert len(results) == pairs
         # one evaluation per distinct first-of-pair series, and one per fresh copy or negation
-        assert len(seen) == (k - 1) + 2 * pairs
+        assert len(seen) == evaluations * ((k - 1) + 2 * pairs)
         stored = {}
         for vx, fx, f_copy, f_neg in results:
             assert stored.setdefault(id(vx), fx) is fx
@@ -847,54 +890,63 @@ class TestStandardizedOnce:
             assert f_copy.flags.writeable and f_neg.flags.writeable
             assert np.array_equal(f_copy, fx)
 
-    def test_an_error_is_raised_again_and_never_stored(self):
+    @pytest.mark.parametrize("route", _STANDARDIZED)
+    def test_an_error_is_raised_again_and_never_stored(self, route):
         f = CenterScale(ArithmeticMean(), MinkowskiDeviation(2.0, ArithmeticMean()))
+        compute, _ = _ROUTES[route]
         errors = []
 
-        def standardize_twice(vx):
+        def compute_twice(vx):
             for _ in range(2):
                 with pytest.raises(DomainError) as exc:
-                    standardize_values(f, vx)
+                    compute(f, vx)
                 errors.append(str(exc.value))
 
         tiny = 1e-310 * np.array([1.0, -1.0, 2.0, -2.0])
-        association_matrix(_OnEachPair(standardize_twice), load_set([tiny, -tiny]))
+        association_matrix(_OnEachPair(compute_twice), load_set([tiny, -tiny]))
         assert errors == ["spread underflows to 0; the values are too small for float64"] * 2
 
-    def test_another_thread_sees_no_store(self):
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_another_thread_sees_no_store(self, route):
         f = Center(Median())
+        compute, _ = _ROUTES[route]
         outs = []
 
-        def standardize_in_a_thread_then_here(vx):
-            worker = threading.Thread(target=lambda: outs.append(standardize_values(f, vx)))
+        def compute_in_a_thread_then_here(vx):
+            worker = threading.Thread(target=lambda: outs.append(compute(f, vx)))
             worker.start()
             worker.join()
-            outs.append(standardize_values(f, vx))
+            outs.append(compute(f, vx))
 
-        association_matrix(_OnEachPair(standardize_in_a_thread_then_here), load_set([[1, 2, 4], [3, 1, 2]]))
+        association_matrix(_OnEachPair(compute_in_a_thread_then_here), load_set([[1, 2, 4], [3, 1, 2]]))
         assert outs[0].flags.writeable and not outs[1].flags.writeable
 
-    def test_an_unhashable_standardization_is_computed_per_call(self):
+    @pytest.mark.parametrize("route", _STANDARDIZED)
+    def test_an_unhashable_standardization_is_computed_per_call(self, route):
         class Unhashable(Center):
             __hash__ = None
 
         f = Unhashable(Median())
+        compute, _ = _ROUTES[route]
         outs = []
         data = load_set([[1, 2, 4], [3, 1, 2], [2, 2, 1]])
-        association_matrix(_OnEachPair(lambda vx: outs.append(standardize_values(f, vx))), data)
+        association_matrix(_OnEachPair(lambda vx: outs.append(compute(f, vx))), data)
         assert all(out.flags.writeable for out in outs)
 
     @pytest.mark.parametrize(
-        "spec, standardizations, centers",
+        "spec, standardizations, centers, centerings",
         [
-            # 4 per pair as the perfbench pin has it; one center per series, plus one per pair for -y
-            pytest.param(_GRID["branch-median"], 4 * 36, 9 + 36, id="branch-median"),
-            pytest.param(_GRID["contrast-median"], 4 * 36, 9 + 36, id="contrast-median"),
-            pytest.param(CosineStandardized(UNIT_MEAN), 2 * 36, 9, id="cosine-unit-mean"),
+            # 4 per pair as the perfbench pin has it. The store holds F(v) per series and
+            # F(-v) per series ever a y, which all but the first are: 9 + 8 centers.
+            pytest.param(_GRID["branch-median"], 4 * 36, 9 + 8, 0, id="branch-median"),
+            pytest.param(_GRID["contrast-median"], 4 * 36, 9 + 8, 0, id="contrast-median"),
+            pytest.param(CosineStandardized(UNIT_MEAN), 2 * 36, 9, 0, id="cosine-unit-mean"),
+            # Pearson centers each series once, and calls no estimate
+            pytest.param(Pearson(), 0, 0, 9, id="pearson"),
         ],
     )
-    def test_the_store_engages(self, monkeypatch, spec, standardizations, centers):
-        calls = {"standardize_values": 0, "central_values": 0}
+    def test_the_store_engages(self, monkeypatch, spec, standardizations, centers, centerings):
+        calls = {"standardize_values": 0, "central_values": 0, "_mean_centered": 0}
 
         def counting(module, attr):
             original = getattr(module, attr)
@@ -906,11 +958,13 @@ class TestStandardizedOnce:
             monkeypatch.setattr(module, attr, wrapper)
 
         # the module, not the function that the package re-exports under its name
-        counting(importlib.import_module("shapeassoc.measures"), "standardize_values")
+        measures = importlib.import_module("shapeassoc.measures")
+        counting(measures, "standardize_values")
+        counting(measures, "_mean_centered")
         counting(importlib.import_module("shapeassoc.standardize"), "central_values")
         data = load_set(np.random.default_rng(6).standard_normal((9, 40)))
         association_matrix(spec, data)
-        assert calls == {"standardize_values": standardizations, "central_values": centers}
+        assert calls == {"standardize_values": standardizations, "central_values": centers, "_mean_centered": centerings}
 
 
 # --- exact values on integer series -------------------------------------------
