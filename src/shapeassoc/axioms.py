@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, SpecError
 from .config import plain, to_dict, to_json
-from .estimates import Spec, _integer
+from .estimates import Spec, _integer, _real
 from .measures import MeasureSpec, associate_values
 from .series import is_constant_values
 
@@ -382,8 +382,7 @@ def verify(
     lo_req, hi_req = _integer("n_range", lo_req), _integer("n_range", hi_req)
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
-        raise SpecError(f"tol must be a real number, got {tol!r}")
+    tol = _real("tol", tol)
     if not tol >= 0.0:  # a NaN tol would pass every property
         raise SpecError(f"tol must be >= 0, got {tol!r}")
     tol = float(tol) if tol <= sys.float_info.max else math.inf  # an int may exceed any float

@@ -63,20 +63,17 @@ class FileDataset(DatasetSpec):
 
 
 @dataclass(frozen=True)
-class SyntheticCluster:
+class SyntheticCluster(Spec):
     size: int
     inverted: tuple[bool, ...] = ()
 
     def __post_init__(self):
+        super().__post_init__()
         if self.size < 2:
             raise SpecError(f"synthetic cluster size must be >= 2, got {self.size}")
-        inv = tuple(bool(b) for b in self.inverted)
-        if not inv:
-            inv = (False,) * self.size
+        inv = tuple(bool(b) for b in self.inverted) or (False,) * self.size
         if len(inv) != self.size:
-            raise SpecError(
-                f"inverted flags length {len(inv)} does not match cluster size {self.size}"
-            )
+            raise SpecError(f"inverted flags length {len(inv)} does not match cluster size {self.size}")
         object.__setattr__(self, "inverted", inv)
 
 
@@ -107,6 +104,7 @@ class SyntheticDataset(DatasetSpec):
     clusters: tuple[SyntheticCluster, ...] = DEFAULT_CLUSTERS
 
     def __post_init__(self):
+        super().__post_init__()
         if self.seed < 0:
             raise SpecError(f"synthetic seed must be >= 0, got {self.seed}")
         if self.length < 8:

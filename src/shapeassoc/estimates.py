@@ -4,8 +4,8 @@ Every central estimate maps a series to a single number lying between its
 minimum and maximum. Estimates are small frozen spec objects; each class
 carries its JSON tag, its evaluation (`evaluate`), its length bounds and the
 algebraic traits that standardizations and measures rely on. `Spec`, the
-base of every spec family here and in the modules above, refuses a field
-outside its family and derives a composite's `bounds` from its parts.
+base of every spec family here and in the modules above, checks each field
+against its annotation and derives a composite's `bounds` from its parts.
 `central_values` and `scale_values` evaluate them on a value vector, with
 their length and overflow checks. `minkowski_norm` is the one order-r norm,
 used by MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of
@@ -18,6 +18,7 @@ used by MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of
 
 from __future__ import annotations
 
+import builtins
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -54,13 +55,20 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> int | float:
+    # a bool is no number; a Python number is kept as given, a numpy one made JSON-writable
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise SpecError(f"{name} must be a real number, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
+
+
 class Spec:
     """Base of every spec: a JSON `tag` and length `bounds` (least, exact or None).
 
-    `__post_init__` refuses a field annotated with a Spec subclass, looked up
-    in the module of the class that declares it, whose value is outside that
-    class. It then sets `bounds` to the lengths all such fields accept. A
-    subclass with checks of its own calls it first.
+    `__post_init__` checks each field against its annotation, named in the
+    module of the class declaring it or in `builtins`: an `int` field through
+    `_integer`, a `float` field through `_real`, and a Spec-typed field holds
+    an instance, whose lengths set `bounds`. Subclasses call it first.
     """
 
     tag: ClassVar[str]
@@ -69,14 +77,15 @@ class Spec:
     def __post_init__(self):
         parts = []
         for f in fields(self):
-            family = f.type
+            family, value, what = f.type, getattr(self, f.name), f"{type(self).__name__}.{f.name}"
             if isinstance(family, str):  # a postponed annotation, named in its class's module
                 owners = (c for c in type(self).__mro__ if f.name in vars(c).get("__annotations__", {}))
-                family = vars(sys.modules[next(owners, type(self)).__module__]).get(family)
-            if isinstance(family, type) and issubclass(family, Spec):
-                value = getattr(self, f.name)
+                module = sys.modules[next(owners, type(self)).__module__]
+                family = getattr(module, family, None) or getattr(builtins, family, None)
+            if family is int or family is float:
+                object.__setattr__(self, f.name, (_integer if family is int else _real)(what, value))
+            elif isinstance(family, type) and issubclass(family, Spec):
                 if not isinstance(value, family):
-                    what = f"{type(self).__name__}.{f.name}"
                     raise SpecError(f"{what} must be a {family.__name__}, got {type(value).__name__}")
                 parts.append((f.name, *value.bounds))
         lo = max((n for _, n, _ in parts), default=2)
@@ -135,7 +144,7 @@ class Projection(CentralEstimate):
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _integer("Projection.k", self.k))
+        super().__post_init__()
         if self.k < 1:
             raise SpecError(f"projection index must be >= 1, got {self.k}")
         _set_bounds(self, self.k)
@@ -152,7 +161,7 @@ class OrderStatistic(CentralEstimate):
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _integer("OrderStatistic.k", self.k))
+        super().__post_init__()
         if self.k < 1:
             raise SpecError(f"order statistic index must be >= 1, got {self.k}")
         _set_bounds(self, self.k)
@@ -186,7 +195,7 @@ class TruncatedMean(CentralEstimate):
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _integer("TruncatedMean.m", self.m))
+        super().__post_init__()
         if self.m < 0:
             raise SpecError(f"truncation count must be >= 0, got {self.m}")
         _set_bounds(self, 2 * self.m + 1)
@@ -208,8 +217,7 @@ class GeneralizedMidrange(CentralEstimate):
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _integer("GeneralizedMidrange.k", self.k))
-        object.__setattr__(self, "m", _integer("GeneralizedMidrange.m", self.m))
+        super().__post_init__()
         if not 0 <= self.k < self.m:
             raise SpecError(f"need 0 <= k < m, got k={self.k}, m={self.m}")
         _set_bounds(self, 2 * self.m + 1)

@@ -88,6 +88,7 @@ class RationalDecay(DecayTransform):
     k: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not (np.isfinite(self.k) and self.k > 0.0):
             raise SpecError(f"decay constant must be > 0, got {self.k!r}")
 
@@ -113,6 +114,7 @@ class PowerHalf(GrowthTransform):
     p: float = 2.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not (np.isfinite(self.p) and self.p > 0.0):
             raise SpecError(f"power must be > 0, got {self.p!r}")
 
@@ -122,7 +124,7 @@ class PowerHalf(GrowthTransform):
 
 @dataclass(frozen=True)
 class ComplementDecay(DecayTransform):
-    """S = 1 - W(d) for d in [0, cap]; exact 0 at the cap.
+    """S = 1 - W(d) for d in [0, 2], the range of a normal dissimilarity; exact 0 at 2.
 
     Unlike the strictly positive decays, this one reaches similarity 0, which
     is what the difference-form association needs for reflected pairs.
@@ -130,19 +132,11 @@ class ComplementDecay(DecayTransform):
 
     tag = "complement-decay"
     growth: GrowthTransform = PowerHalf(2.0)
-    cap: float = 2.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (np.isfinite(self.cap) and self.cap > 0.0):
-            raise SpecError(f"cap must be > 0, got {self.cap!r}")
-        if grow(self.growth, self.cap) > 1.0 + 1e-12:
-            raise SpecError("growth transform must stay within [0, 1] up to the cap")
 
     def evaluate(self, d: float) -> float:
-        if d > self.cap * (1.0 + 1e-12):
-            raise DomainError(f"dissimilarity {d!r} exceeds the transform cap {self.cap!r}")
-        return 1.0 - grow(self.growth, min(d, self.cap))
+        if d > 2.0 * (1.0 + 1e-12):
+            raise DomainError(f"dissimilarity {d!r} exceeds the transform cap 2.0")
+        return 1.0 - grow(self.growth, min(d, 2.0))
 
 
 def decay(spec: DecayTransform, d: float) -> float:

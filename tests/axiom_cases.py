@@ -97,7 +97,7 @@ def coverage_suite() -> tuple[CoverageCase, ...]:
     dissim_unit = DissimilaritySpec(2.0, unit_mean)
     dissim_center_mean = DissimilaritySpec(2.0, Center(ArithmeticMean()))
     recipe_rational = SimilarityRecipe(dissim_unit, RationalDecay(1.0))
-    recipe_complement = SimilarityRecipe(dissim_unit, ComplementDecay(PowerHalf(2.0), 2.0))
+    recipe_complement = SimilarityRecipe(dissim_unit, ComplementDecay(PowerHalf(2.0)))
     recipe_center_mean = SimilarityRecipe(dissim_center_mean, RationalDecay(1.0))
     recipe_min_center = SimilarityRecipe(DissimilaritySpec(2.0, Center(Min())), RationalDecay(1.0))
     branch_min_center = SimilarityBranch(recipe_min_center)

@@ -12,6 +12,7 @@ from shapeassoc import (
     Center,
     CenterScale,
     ComplementDecay,
+    ConstantSeriesError,
     CosineStandardized,
     DissimilaritySpec,
     GeneralizedMidrange,
@@ -253,6 +254,16 @@ class TestVerify:
 
     def test_constant_similarity_na_for_scaled_standardizations(self):
         report = verify(RECIPE_UNIT, (PropertyId.CONSTANT_SERIES_SIMILARITY,), trials=10)
+        assert report.result(PropertyId.CONSTANT_SERIES_SIMILARITY).status == "not-applicable"
+
+    def test_constant_series_error_propagates_outside_the_constants_property(self):
+        def refuses(vx, vy):
+            raise ConstantSeriesError("probe refuses every pair")
+
+        probe = Probe("similarity", refuses, "refuses")
+        with pytest.raises(ConstantSeriesError, match="^probe refuses every pair$"):
+            verify(probe, (PropertyId.SYMMETRY,), trials=5, seed=0)
+        report = verify(probe, (PropertyId.CONSTANT_SERIES_SIMILARITY,), trials=5, seed=0)
         assert report.result(PropertyId.CONSTANT_SERIES_SIMILARITY).status == "not-applicable"
 
     def test_byte_identical_reports(self):

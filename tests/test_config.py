@@ -2,6 +2,7 @@ import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shapeassoc
@@ -37,11 +38,14 @@ from shapeassoc import (
     preset,
 )
 from shapeassoc.axioms import describe_subject
-from shapeassoc.bench import DatasetSpec
-from shapeassoc.config import MEASURE_SHORTHANDS, from_dict, to_dict
+from shapeassoc.bench import DatasetSpec, SyntheticCluster, SyntheticDataset
+from shapeassoc.config import MEASURE_SHORTHANDS, from_dict, to_dict, to_json
 from shapeassoc.estimates import CentralEstimate, ScaleEstimate
 from shapeassoc.measures import DecayTransform, MeasureSpec
 from shapeassoc.standardize import PRESETS, Standardization
+
+CENTER_MEAN = preset("center-mean")
+UNIT_MEAN = preset("unit-mean")
 
 CENTRALS = (
     Min(),
@@ -64,7 +68,7 @@ MEASURES = (
     MinkowskiContrast(DissimilaritySpec(2.0, preset("unit-gmidrange")), PowerHalf(2.0)),
     SimilarityDifference(
         SimilarityRecipe(
-            DissimilaritySpec(2.0, preset("unit-mean")), ComplementDecay(PowerHalf(2.0), 2.0)
+            DissimilaritySpec(2.0, preset("unit-mean")), ComplementDecay(PowerHalf(2.0))
         )
     ),
     SimilarityComplement(
@@ -94,7 +98,7 @@ class TestRoundTrips:
             assert from_dict(to_dict(spec), Standardization) == spec
 
     def test_decays_and_transforms(self):
-        for spec in (RationalDecay(2.5), ExpDecay(), ComplementDecay(PowerHalf(1.5), 2.0)):
+        for spec in (RationalDecay(2.5), ExpDecay(), ComplementDecay(PowerHalf(1.5))):
             assert from_dict(to_dict(spec), DecayTransform) == spec
 
     def test_dissimilarity_and_recipe(self):
@@ -157,6 +161,9 @@ class TestStrictness:
             from_dict({"kind": "pearson", "bogus": True}, MeasureSpec)
         with pytest.raises(SpecError, match="unknown keys"):
             from_dict({"kind": "center", "center": {"kind": "median"}, "x": 0}, Standardization)
+        # the cap of a complement decay was always 2, the range of a normal dissimilarity
+        with pytest.raises(SpecError, match=r"unknown keys for complement-decay: \['cap'\]"):
+            from_dict({"kind": "complement-decay", "cap": 2.0}, DecayTransform)
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(SpecError):
@@ -235,6 +242,48 @@ class TestStrictness:
                 },
                 MeasureSpec,
             )
+
+
+class TestNumberFields:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DissimilaritySpec(True, CENTER_MEAN), "DissimilaritySpec.r must be a real number, got True"),
+            (lambda: DissimilaritySpec("2", UNIT_MEAN), "DissimilaritySpec.r must be a real number, got '2'"),
+            (lambda: RationalDecay(True), "RationalDecay.k must be a real number, got True"),
+            (lambda: PowerHalf(True), "PowerHalf.p must be a real number, got True"),
+            (lambda: MinkowskiDeviation(True, Min()), "MinkowskiDeviation.r must be a real number, got True"),
+            (lambda: SyntheticDataset(seed=True), "SyntheticDataset.seed must be an integer, got True"),
+            (lambda: SyntheticDataset(seed=1.5), "SyntheticDataset.seed must be an integer, got 1.5"),
+            (
+                lambda: SyntheticDataset(noise_scale=False),
+                "SyntheticDataset.noise_scale must be a real number, got False",
+            ),
+            (lambda: SyntheticCluster(2.5), "SyntheticCluster.size must be an integer, got 2.5"),
+        ],
+        ids=[
+            "bool-r", "str-r", "bool-k", "bool-p", "bool-deviation-r",
+            "bool-seed", "float-seed", "bool-noise", "float-size",
+        ],
+    )
+    def test_a_bool_or_non_number_is_refused(self, build, message):
+        with pytest.raises(SpecError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_numpy_integers_write_json_that_reads_back_equal(self):
+        spec = SyntheticDataset(seed=np.int64(1), clusters=(SyntheticCluster(np.int64(2)),))
+        assert type(spec.seed) is int and type(spec.clusters[0].size) is int
+        assert from_dict(json.loads(to_json(spec)), SyntheticDataset) == spec
+
+    def test_a_float_field_keeps_a_python_int(self):
+        assert '"r": 2,' in to_json(DissimilaritySpec(2, UNIT_MEAN))
+
+    @pytest.mark.parametrize("value", [np.float32(1.5), np.int64(3), np.float64(2.5)])
+    def test_a_float_field_stores_a_numpy_scalar_as_a_python_number(self, value):
+        spec = DissimilaritySpec(value, CENTER_MEAN)
+        assert type(spec.r) in (int, float) and spec.r == value
+        assert from_dict(json.loads(to_json(spec)), DissimilaritySpec) == spec
 
 
 class TestSubjectDescription:

@@ -18,6 +18,9 @@ Only change golden.json when an output is meant to change. Regenerate it
 from the repository root with:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each key it adds, removes or changes, section by section,
+before it writes the file.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ def _spec_of_every_kind() -> dict[str, object]:
     for name, decay in (
         ("rational-decay", RationalDecay(2.5)),
         ("exp-decay", ExpDecay()),
-        ("complement-decay", ComplementDecay(PowerHalf(1.5), 2.0)),
+        ("complement-decay", ComplementDecay(PowerHalf(1.5))),
     ):
         out[f"decay/{name}"] = SimilarityComplement(SimilarityRecipe(d3, decay))
     out.update(
@@ -370,8 +373,34 @@ def test_verify_digests():
     _check("verify_digests")
 
 
+def _changes(old: dict, new: dict) -> list[str]:
+    """One "<section>: added|removed|changed <key>" line per key that differs, by section."""
+    lines = []
+    for section in sorted(old.keys() | new.keys()):
+        before, after = old.get(section, {}), new.get(section, {})
+        for key in sorted(before.keys() | after.keys()):
+            if before.get(key) != after.get(key):
+                what = "added" if key not in before else "removed" if key not in after else "changed"
+                lines.append(f"{section}: {what} {key}")
+    return lines
+
+
+def test_changes_name_each_key_by_section():
+    old = {"a": {"same": 1, "gone": 2, "moved": 3}, "b": {"x": 1}}
+    new = {"a": {"same": 1, "moved": 4, "new": 5}, "c": {"y": 1}}
+    assert _changes(old, new) == [
+        "a: removed gone",
+        "a: changed moved",
+        "a: added new",
+        "b: removed x",
+        "c: added y",
+    ]
+    assert _changes(new, new) == []
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({name: fn() for name, fn in SECTIONS.items()}, indent=1, sort_keys=True) + "\n"
-    )
+    got = {name: fn() for name, fn in SECTIONS.items()}
+    for line in _changes(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}, got):
+        sys.stdout.write(line + "\n")
+    GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {GOLDEN}\n")

@@ -120,11 +120,11 @@ class TestTransforms:
         assert decay(ExpDecay(), math.log(2.0)) == pytest.approx(0.5, abs=1e-15)
 
     def test_complement_decay(self):
-        c = ComplementDecay(PowerHalf(2.0), 2.0)
+        c = ComplementDecay(PowerHalf(2.0))
         assert decay(c, 0.0) == 1.0
         assert decay(c, 1.0) == 0.75
         assert decay(c, 2.0) == 0.0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^dissimilarity 2\.1 exceeds the transform cap 2\.0$"):
             decay(c, 2.1)
         # float fuzz just above the cap is clamped, not an error
         assert decay(c, 2.0 + 1e-14) == 0.0
@@ -146,11 +146,6 @@ class TestTransforms:
             RationalDecay(0.0)
         with pytest.raises(SpecError):
             PowerHalf(-1.0)
-        with pytest.raises(SpecError):
-            ComplementDecay(PowerHalf(2.0), 0.0)
-        with pytest.raises(SpecError):
-            # (3/2)^2 > 1: growth exceeds 1 before the cap
-            ComplementDecay(PowerHalf(2.0), 3.0)
 
 
 class TestDissimilarity:
@@ -488,7 +483,7 @@ class TestCrossRouteEquivalences:
             assert associate_values(unchecked, vx, vy) == associate_values(checked, vx, vy)
 
     def test_difference_and_complement_forms(self):
-        recipe = SimilarityRecipe(D2_UNIT, ComplementDecay(PowerHalf(2.0), 2.0))
+        recipe = SimilarityRecipe(D2_UNIT, ComplementDecay(PowerHalf(2.0)))
         diff = SimilarityDifference(recipe)
         comp = SimilarityComplement(recipe)
         rng = np.random.default_rng(51)
@@ -502,7 +497,7 @@ class TestCrossRouteEquivalences:
 
     def test_difference_complement_and_contrast_coincide_when_normal(self):
         # 1 - (d/2)^p turns the contrast form into a similarity difference
-        recipe = SimilarityRecipe(D2_UNIT, ComplementDecay(PowerHalf(2.0), 2.0))
+        recipe = SimilarityRecipe(D2_UNIT, ComplementDecay(PowerHalf(2.0)))
         contrast = MinkowskiContrast(D2_UNIT, PowerHalf(2.0))
         rng = np.random.default_rng(52)
         for _ in range(50):
