@@ -21,8 +21,6 @@ series. Subjects with the same range share each trial's inputs: they are
 drawn once and kept, read-only, in a cache of bounded size.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import json
@@ -53,11 +51,12 @@ _AFFINE_SLOPES = (-3.0, -1.0, 0.5, 2.0)
 _OFFSET_RANGE = 10.0
 
 
-def _offset(rng: np.random.Generator) -> float:
+# `rng` annotations are quoted: evaluated, they would import numpy.random with the package
+def _offset(rng: "np.random.Generator") -> float:
     return float(rng.uniform(-_OFFSET_RANGE, _OFFSET_RANGE))
 
 
-def _affine_params(rng: np.random.Generator) -> dict:
+def _affine_params(rng: "np.random.Generator") -> dict:
     return {
         "scale_x": float(rng.choice(_AFFINE_SLOPES)),
         "scale_y": float(rng.choice(_AFFINE_SLOPES)),
@@ -225,7 +224,7 @@ def describe_subject(subject) -> dict:
 _STYLES = ("uniform",) * 7 + ("monotone", "near-constant", "alternating")
 
 
-def _draw_series(rng: np.random.Generator, n: int, style: str) -> np.ndarray:
+def _draw_series(rng: "np.random.Generator", n: int, style: str) -> np.ndarray:
     if style == "uniform":
         v = rng.uniform(-10.0, 10.0, n)
     elif style == "monotone":

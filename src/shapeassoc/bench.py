@@ -7,8 +7,6 @@ expectations ("all" true clusters contained, or explicitly "not-all") make
 the benchmark a regression test for measure quality.
 """
 
-from __future__ import annotations
-
 import json
 from dataclasses import dataclass
 
@@ -16,7 +14,7 @@ import numpy as np
 
 from .cluster import SimilarityMatrix, contains_cluster, single_linkage
 from .config import from_dict, to_dict, to_json
-from .datasets import parse_dataset
+from .datasets import _check_layout, parse_dataset
 from .errors import SpecError
 from .estimates import (
     ArithmeticMean,
@@ -58,6 +56,10 @@ class FileDataset(DatasetSpec):
     orientation: str = "auto"
     has_ids: bool = False
 
+    def __post_init__(self):
+        super().__post_init__()
+        _check_layout(self.delimiter, self.orientation)
+
     def load(self) -> tuple[SeriesSet, None]:
         return parse_dataset(self.path, self.delimiter, self.orientation, self.has_ids), None
 
@@ -71,7 +73,7 @@ class SyntheticCluster(Spec):
         super().__post_init__()
         if self.size < 2:
             raise SpecError(f"synthetic cluster size must be >= 2, got {self.size}")
-        inv = tuple(bool(b) for b in self.inverted) or (False,) * self.size
+        inv = self.inverted or (False,) * self.size
         if len(inv) != self.size:
             raise SpecError(f"inverted flags length {len(inv)} does not match cluster size {self.size}")
         object.__setattr__(self, "inverted", inv)
@@ -113,7 +115,6 @@ class SyntheticDataset(DatasetSpec):
             raise SpecError(f"noise scale must be in [0, 1), got {self.noise_scale!r}")
         if not self.clusters:
             raise SpecError("synthetic dataset needs at least one cluster")
-        object.__setattr__(self, "clusters", tuple(self.clusters))
 
     def load(self) -> tuple[SeriesSet, tuple[frozenset, ...]]:
         return generate_synthetic(self)
@@ -176,11 +177,6 @@ class BenchmarkSpec(Spec):
         names = [m.name for m in self.measures]
         if len(set(names)) != len(names):
             raise SpecError("benchmark measure names must be unique")
-        object.__setattr__(self, "measures", tuple(self.measures))
-        if self.true_clusters is not None:
-            object.__setattr__(
-                self, "true_clusters", tuple(tuple(c) for c in self.true_clusters)
-            )
 
 
 _GRID_CENTERS = (

@@ -86,6 +86,13 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _check_layout(delimiter: str, orientation: str) -> None:
+    if delimiter not in _DELIMITERS:
+        raise SpecError(f"unknown delimiter {delimiter!r}; expected one of {sorted(_DELIMITERS)}")
+    if orientation not in _ORIENTATIONS:
+        raise SpecError(f"unknown orientation {orientation!r}; expected one of {_ORIENTATIONS}")
+
+
 def parse_dataset_text(
     text: str,
     delimiter: str = "whitespace",
@@ -102,10 +109,7 @@ def parse_dataset_text(
     line) rows when there are fewer lines than fields: series are usually
     longer than the collection is wide.
     """
-    if delimiter not in _DELIMITERS:
-        raise SpecError(f"unknown delimiter {delimiter!r}; expected one of {sorted(_DELIMITERS)}")
-    if orientation not in _ORIENTATIONS:
-        raise SpecError(f"unknown orientation {orientation!r}; expected one of {_ORIENTATIONS}")
+    _check_layout(delimiter, orientation)
     sep = _DELIMITERS[delimiter]
     rows = _rows(text, sep, source)
     width = _width(rows[0][1], sep)
@@ -145,25 +149,41 @@ def parse_dataset(
 
 
 def _csv(labelled_rows) -> str:
-    """A comma line per (id, float vector) pair, refusing an id the reader would
+    """A comma line per (id, cell strings) pair, refusing an id the reader would
     not give back: one with a comma, a line break or whitespace at either end."""
     lines = []
-    for label, values in labelled_rows:
+    for label, cells in labelled_rows:
         if "," in label or label != label.strip() or len(label.splitlines()) != 1:
             raise DatasetError(f"id {label!r} cannot be written: comma, line break or outer whitespace")
-        lines.append(",".join([label, *map(repr, values.tolist())]) + "\n")
+        lines.append(",".join([label, *cells]) + "\n")
     return "".join(lines)
 
 
 def format_series_csv(data: SeriesSet) -> str:
     """Comma layout, one series per row, id first. Full float precision."""
-    return _csv((s.id, s.values) for s in data)
+    return _csv((s.id, map(repr, s.values.tolist())) for s in data)
 
 
 def format_matrix_csv(ids, values) -> str:
-    """Square matrix with an id header row and id-labelled rows."""
+    """Square matrix with an id header row and id-labelled rows. A cell below the
+    diagonal reuses the string of its mirror above it when the two are equal bit
+    for bit (a -0.0 mirrored by 0.0 is not); every other cell is written with repr."""
     ids = list(ids)
-    return ",".join(["id", *ids]) + "\n" + _csv(zip(ids, np.asarray(values, dtype=np.float64)))
+    v = np.asarray(values, dtype=np.float64)
+    bits = v.view(np.int64)
+    above = [[] for _ in ids]  # column c's strings above the diagonal, until row c is written
+
+    def cells(i: int, row: list[float]) -> list[str]:
+        same = (bits[i, :i] == bits[:i, i]).tolist()
+        below = [s if eq else repr(x) for s, eq, x in zip(above[i], same, row)]
+        above[i] = None
+        up = list(map(repr, row[i:]))
+        for column, s in zip(above[i + 1 :], up[1:]):
+            column.append(s)
+        return below + up
+
+    rows = (cells(i, row.tolist()) for i, row in enumerate(v))
+    return ",".join(["id", *ids]) + "\n" + _csv(zip(ids, rows))
 
 
 def parse_matrix_csv_text(text: str, source: str = "<string>") -> tuple[tuple[str, ...], np.ndarray]:

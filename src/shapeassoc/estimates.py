@@ -16,21 +16,19 @@ used by MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of
 - odd:                   E(-x) = -E(x)
 """
 
-from __future__ import annotations
-
-import builtins
 import math
-import sys
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from types import GenericAlias, UnionType
+from typing import ClassVar, get_type_hints
 
 import numpy as np
 
 from .errors import DomainError, SpecError
 
 
-def _check_weights(weights) -> tuple[float, ...]:
-    w = tuple(float(v) for v in weights)
+def _check_weights(spec) -> None:
+    Spec.__post_init__(spec)
+    w = tuple(float(v) for v in spec.weights)
     if len(w) < 2:
         raise SpecError(f"need at least two weights, got {len(w)}: a series has at least two samples")
     if any(not np.isfinite(v) for v in w):
@@ -40,7 +38,8 @@ def _check_weights(weights) -> tuple[float, ...]:
     total = float(np.sum(w))
     if abs(total - 1.0) > 1e-9:
         raise SpecError(f"weights must sum to 1 within 1e-9, got {total!r}")
-    return w
+    object.__setattr__(spec, "weights", w)
+    _set_bounds(spec, len(w), len(w))
 
 
 def _set_bounds(spec, lo: int, exact: int | None = None) -> None:
@@ -62,14 +61,35 @@ def _real(name: str, value) -> int | float:
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _checked(what: str, kind, value):
+    """`value` as a field of type `kind` holds it, or SpecError "`what` must be ...".
+
+    An int goes through `_integer`, a float `_real`, a bool also takes a numpy bool,
+    `X | None` None or an X, `tuple[X, ...]` any iterable of X's but a str, a family an instance."""
+    if type(value) is kind:  # already as the field holds it
+        return value
+    if kind is int or kind is float:
+        return (_integer if kind is int else _real)(what, value)
+    if kind is bool or kind is str:
+        if not isinstance(value, (bool, np.bool_) if kind is bool else str):
+            raise SpecError(f"{what} must be a {'boolean' if kind is bool else 'string'}, got {value!r}")
+        return kind(value)
+    if isinstance(kind, UnionType):  # X | None
+        return None if value is None else _checked(what, kind.__args__[0], value)
+    if isinstance(kind, GenericAlias):  # tuple[X, ...]
+        if isinstance(value, str) or not hasattr(value, "__iter__"):
+            raise SpecError(f"{what} must be a tuple, got {value!r}")
+        return tuple([_checked(what, kind.__args__[0], v) for v in value])
+    if not isinstance(value, kind):
+        raise SpecError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 class Spec:
     """Base of every spec: a JSON `tag` and length `bounds` (least, exact or None).
 
-    `__post_init__` checks each field against its annotation, named in the
-    module of the class declaring it or in `builtins`: an `int` field through
-    `_integer`, a `float` field through `_real`, and a Spec-typed field holds
-    an instance, whose lengths set `bounds`. Subclasses call it first.
-    """
+    `__post_init__` stores each field as `_checked` by its annotation, and the
+    lengths of its Spec-typed fields set `bounds`. Subclasses call it first."""
 
     tag: ClassVar[str]
     bounds = (2, None)
@@ -77,18 +97,15 @@ class Spec:
     def __post_init__(self):
         parts = []
         for f in fields(self):
-            family, value, what = f.type, getattr(self, f.name), f"{type(self).__name__}.{f.name}"
-            if isinstance(family, str):  # a postponed annotation, named in its class's module
-                owners = (c for c in type(self).__mro__ if f.name in vars(c).get("__annotations__", {}))
-                module = sys.modules[next(owners, type(self)).__module__]
-                family = getattr(module, family, None) or getattr(builtins, family, None)
-            if family is int or family is float:
-                object.__setattr__(self, f.name, (_integer if family is int else _real)(what, value))
-            elif isinstance(family, type) and issubclass(family, Spec):
-                if not isinstance(value, family):
-                    raise SpecError(f"{what} must be a {family.__name__}, got {type(value).__name__}")
+            # a str annotation is from a subclass whose module postpones annotations
+            kind = get_type_hints(type(self))[f.name] if isinstance(f.type, str) else f.type
+            value = _checked(f"{type(self).__name__}.{f.name}", kind, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+            if isinstance(kind, type) and issubclass(kind, Spec):
                 parts.append((f.name, *value.bounds))
-        lo = max((n for _, n, _ in parts), default=2)
+        if not parts:  # bounds stay (2, None)
+            return
+        lo = max(n for _, n, _ in parts)
         exact = {e for _, _, e in parts if e is not None}
         if len(exact) > 1 or any(e < lo for e in exact):
             sides = (f"the {name} (length {f'>= {n}' if e is None else e})" for name, n, e in parts)
@@ -250,9 +267,7 @@ class WeightedMean(CentralEstimate):
     odd = True
     weights: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _check_weights(self.weights))
-        _set_bounds(self, len(self.weights), len(self.weights))
+    __post_init__ = _check_weights
 
     def evaluate(self, v: np.ndarray) -> float:
         return float(np.dot(self.weights, v))
@@ -265,9 +280,7 @@ class OrderedWeightedMean(CentralEstimate):
     tag = "ordered-weighted-mean"
     weights: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _check_weights(self.weights))
-        _set_bounds(self, len(self.weights), len(self.weights))
+    __post_init__ = _check_weights
 
     def evaluate(self, v: np.ndarray) -> float:
         return float(np.dot(self.weights, np.sort(v)))

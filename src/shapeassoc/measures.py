@@ -24,8 +24,6 @@ cosine of the mean-centered vectors, and GeneralizedMidrangeCorrelation
 builds the cosine over a generalized-midrange centering.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import ClassVar

@@ -14,8 +14,6 @@ True for CenterScale, while Center is scale proportional instead) and
 dissimilarity of standardized series by 2; else None).
 """
 
-from __future__ import annotations
-
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -162,7 +160,13 @@ def preset(name: str, r: float = 2.0, k: int = 0, m: int = 2) -> Standardization
     - "center-min":      Center(Min())
     - "unit-mean":       CenterScale(AM, MinkowskiDeviation(r, AM))
     - "unit-gmidrange":  CenterScale(GMDR(k, m), MinkowskiDeviation(r, same))
+
+    A parameter the named preset does not read must keep its default.
     """
+    unread = {"center-mean": "rkm", "center-min": "rkm", "unit-mean": "km"}.get(name, "")
+    for key, value, default in (("r", r, 2.0), ("k", k, 0), ("m", m, 2)):
+        if key in unread and value != default:
+            raise SpecError(f"preset {name!r} does not use {key}, got {key}={value!r}")
     if name == "center-mean":
         return Center(ArithmeticMean())
     if name == "center-min":

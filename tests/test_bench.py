@@ -18,6 +18,7 @@ from shapeassoc import (
     run_benchmark,
 )
 from shapeassoc.bench import benchmark_spec_from_dict
+from shapeassoc.datasets import parse_dataset_text
 from shapeassoc.config import to_dict
 
 
@@ -185,6 +186,22 @@ class TestRunBenchmark:
                     BenchmarkMeasure("p", Pearson(), "all"),
                 ),
             )
+
+
+class TestFileDataset:
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            (("semicolon", "sideways"), "unknown delimiter 'semicolon'; expected one of ['comma', 'tab', 'whitespace']"),
+            (("comma", "sideways"), "unknown orientation 'sideways'; expected one of ('rows', 'columns', 'auto')"),
+        ],
+    )
+    def test_a_bad_layout_is_refused_at_construction_as_the_reader_refuses_it(self, layout, message):
+        with pytest.raises(SpecError) as built:
+            FileDataset("x.txt", *layout)
+        with pytest.raises(SpecError) as read:
+            parse_dataset_text("1 2\n3 4\n", *layout)
+        assert str(built.value) == str(read.value) == message
 
 
 class TestBenchmarkConfig:

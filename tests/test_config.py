@@ -38,7 +38,7 @@ from shapeassoc import (
     preset,
 )
 from shapeassoc.axioms import describe_subject
-from shapeassoc.bench import DatasetSpec, SyntheticCluster, SyntheticDataset
+from shapeassoc.bench import DatasetSpec, FileDataset, SyntheticCluster, SyntheticDataset
 from shapeassoc.config import MEASURE_SHORTHANDS, from_dict, to_dict, to_json
 from shapeassoc.estimates import CentralEstimate, ScaleEstimate
 from shapeassoc.measures import DecayTransform, MeasureSpec
@@ -284,6 +284,25 @@ class TestNumberFields:
         spec = DissimilaritySpec(value, CENTER_MEAN)
         assert type(spec.r) in (int, float) and spec.r == value
         assert from_dict(json.loads(to_json(spec)), DissimilaritySpec) == spec
+
+
+class TestFlagAndTupleFields:
+    def test_numpy_bools_are_stored_as_bools_and_read_back_equal(self):
+        spec = SyntheticDataset(clusters=(SyntheticCluster(2, (np.False_, np.True_)),))
+        assert [type(b) for b in spec.clusters[0].inverted] == [bool, bool]
+        assert from_dict(json.loads(to_json(spec)), SyntheticDataset) == spec
+        file = FileDataset("x.txt", has_ids=np.True_)
+        assert file.has_ids is True
+        assert from_dict(json.loads(to_json(file)), FileDataset) == file
+
+    def test_an_ndarray_of_weights_is_stored_as_python_floats_and_reads_back_equal(self):
+        spec = WeightedMean(np.array([0.25, 0.75]))
+        assert spec.weights == (0.25, 0.75) and [type(w) for w in spec.weights] == [float, float]
+        assert from_dict(json.loads(to_json(spec)), CentralEstimate) == spec
+
+    def test_integer_weights_are_written_as_floats(self):
+        assert json.loads(to_json(WeightedMean((1, 0))))["weights"] == [1.0, 0.0]
+        assert '"weights": [\n    1.0,\n    0.0\n  ]' in to_json(WeightedMean((1, 0)))
 
 
 class TestSubjectDescription:

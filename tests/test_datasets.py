@@ -263,6 +263,38 @@ class TestMatrixCsv:
                 format_matrix_csv(ids, np.eye(2))
 
 
+def _per_cell_matrix_csv(ids, values) -> str:
+    """The matrix writer's former formula, kept as the oracle: repr of every cell."""
+    rows = np.asarray(values, dtype=np.float64)
+    lines = [",".join([label, *map(repr, row.tolist())]) + "\n" for label, row in zip(ids, rows)]
+    return ",".join(["id", *ids]) + "\n" + "".join(lines)
+
+
+def _symmetric(rng, k):
+    a = rng.standard_normal((k, k))
+    return a + a.T
+
+
+def _asymmetric(rng, k):
+    return rng.standard_normal((k, k))
+
+
+def _signed_zeros(rng, k):
+    a = _symmetric(rng, k)
+    a[0, 1], a[1, 0] = -0.0, 0.0  # equal as floats, not bit for bit
+    a[2, 3], a[3, 2] = 0.0, -0.0
+    a[1, 2] = a[2, 1] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("build", [_symmetric, _asymmetric, _signed_zeros])
+def test_the_matrix_writer_matches_the_per_cell_formula(build):
+    values = build(np.random.default_rng(11), 6)
+    ids = [f"s{i}" for i in range(len(values))]
+    assert format_matrix_csv(ids, values) == _per_cell_matrix_csv(ids, values)
+    assert format_matrix_csv(ids, values.T) == _per_cell_matrix_csv(ids, values.T)
+
+
 class TestErrorOrder:
     """Each reader checks every line's width before it parses a cell, and names
     the first bad cell in file order by its stripped text."""

@@ -51,10 +51,17 @@ from shapeassoc import (
     similarity,
     standardize,
 )
-from shapeassoc.bench import BenchmarkMeasure, BenchmarkSpec, SyntheticDataset, default_grid_measures
+from shapeassoc.bench import (
+    BenchmarkMeasure,
+    BenchmarkSpec,
+    FileDataset,
+    SyntheticCluster,
+    SyntheticDataset,
+    default_grid_measures,
+)
 from shapeassoc.config import from_dict
 from shapeassoc.errors import ShapeAssocError
-from shapeassoc.estimates import Median, Spec, central_values, scale_values
+from shapeassoc.estimates import Median, Spec, WeightedMean, central_values, scale_values
 from shapeassoc.measures import (
     DecayTransform,
     GrowthTransform,
@@ -107,6 +114,45 @@ _FAMILY_FIELDS = {
     for spec, families in _composites()
     for name, family in families.items()
 }
+
+
+
+def _every_spec() -> dict[type, object]:
+    """One instance of every spec class, reachable from one spec of every kind and
+    two benchmark specs: one on synthetic data, one on a file with true clusters."""
+    out = {}
+
+    def walk(value):
+        if isinstance(value, tuple):
+            for v in value:
+                walk(v)
+        if isinstance(value, Spec):
+            out.setdefault(type(value), value)
+            for f in dataclasses.fields(value):
+                walk(getattr(value, f.name))
+
+    measures = (BenchmarkMeasure("p", Pearson(), "all"),)
+    on_file = BenchmarkSpec(FileDataset("x.txt"), measures, (("s1", "s2"),))
+    for spec in (*_spec_of_every_kind().values(), BenchmarkSpec(SyntheticDataset(), measures), on_file):
+        walk(spec)
+    return out
+
+
+_EVERY_SPEC = _every_spec()
+# (class name, field) -> (an instance, the field's type), for every field of every spec class
+_EVERY_FIELD = {
+    (cls.__name__, f.name): (spec, f.type) for cls, spec in _EVERY_SPEC.items() for f in dataclasses.fields(spec)
+}
+_SCALAR_KINDS = {int: "an integer", float: "a real number", bool: "a boolean", str: "a string"}
+
+
+def _refusal(kind) -> str:
+    """What a field of type `kind` must be, and how 1j is shown, in its refusal."""
+    if isinstance(kind, types.UnionType):  # X | None refuses as X does
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is tuple:
+        return "a tuple, got 1j"
+    return f"{_SCALAR_KINDS[kind]}, got 1j" if kind in _SCALAR_KINDS else f"a {kind.__name__}, got complex"
 
 
 class TestTransforms:
@@ -347,6 +393,98 @@ class TestConstructorValidation:
             seen.add(want)
         # the walk meets a raised least length and an exact length
         assert any(n > 2 for n, _ in seen) and any(e is not None for _, e in seen)
+
+
+
+_POSTPONED_MODULE = """
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from shapeassoc.measures import GrowthTransform, PowerHalf, RationalDecay
+
+
+@dataclass(frozen=True)
+class Shifted(RationalDecay):
+    shift: float = 0.0
+    growth: GrowthTransform = PowerHalf(2.0)
+"""
+
+
+class TestEveryField:
+    def test_the_walk_reaches_all_44_fields_of_the_34_spec_classes(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        package = {c for c in subclasses(Spec) if dataclasses.is_dataclass(c) and c.__module__.startswith("shapeassoc.")}
+        assert set(_EVERY_SPEC) == package
+        assert (len(_EVERY_SPEC), len(_EVERY_FIELD)) == (34, 44)
+
+    @pytest.mark.parametrize("cls, field", sorted(_EVERY_FIELD))
+    def test_every_field_refuses_a_value_of_the_wrong_kind(self, cls, field):
+        spec, kind = _EVERY_FIELD[cls, field]
+        assert not isinstance(kind, str)
+        with pytest.raises(SpecError) as exc:
+            dataclasses.replace(spec, **{field: 1j})
+        assert str(exc.value) == f"{cls}.{field} must be {_refusal(kind)}"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FileDataset(5), "FileDataset.path must be a string, got 5"),
+            (lambda: FileDataset("x", has_ids="no"), "FileDataset.has_ids must be a boolean, got 'no'"),
+            (lambda: BenchmarkMeasure(5, Pearson()), "BenchmarkMeasure.name must be a string, got 5"),
+            (
+                lambda: SyntheticDataset(clusters=(1, 2)),
+                "SyntheticDataset.clusters must be a SyntheticCluster, got int",
+            ),
+            (
+                lambda: BenchmarkSpec(SyntheticDataset(), (1,)),
+                "BenchmarkSpec.measures must be a BenchmarkMeasure, got int",
+            ),
+            (
+                lambda: BenchmarkSpec(SyntheticDataset(), (BenchmarkMeasure("p", Pearson()),), ((1, 2),)),
+                "BenchmarkSpec.true_clusters must be a string, got 1",
+            ),
+            (lambda: WeightedMean(("0.5", "0.5")), "WeightedMean.weights must be a real number, got '0.5'"),
+            (lambda: WeightedMean((True, False)), "WeightedMean.weights must be a real number, got True"),
+            (lambda: SyntheticCluster(2, (1, 0)), "SyntheticCluster.inverted must be a boolean, got 1"),
+            (lambda: SyntheticCluster(2, "ab"), "SyntheticCluster.inverted must be a tuple, got 'ab'"),
+        ],
+        ids=[
+            "int-path", "str-flag", "int-name", "int-clusters", "int-measures",
+            "int-true-clusters", "str-weights", "bool-weights", "int-flags", "str-flags",
+        ],
+    )
+    def test_a_value_of_the_wrong_kind_names_its_field(self, build, message):
+        with pytest.raises(SpecError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_an_iterable_field_is_stored_as_a_tuple(self):
+        spec = BenchmarkSpec(SyntheticDataset(), [BenchmarkMeasure("p", Pearson())], [["s1", "s2"]])
+        assert spec.measures == (BenchmarkMeasure("p", Pearson()),)
+        assert spec.true_clusters == (("s1", "s2"),)
+        assert SyntheticDataset(clusters=iter([SyntheticCluster(2)])).clusters == (SyntheticCluster(2),)
+
+    def test_a_subclass_in_a_module_that_postpones_annotations_is_checked(self, monkeypatch):
+        module = types.ModuleType("postponed")
+        monkeypatch.setitem(sys.modules, "postponed", module)
+        exec(compile(_POSTPONED_MODULE, "postponed", "exec"), module.__dict__)
+        shifted = module.Shifted
+        assert [f.type for f in dataclasses.fields(shifted)] == [float, "float", "GrowthTransform"]
+        spec = shifted(1.0, np.float64(0.5))
+        assert type(spec.shift) is float and spec.shift == 0.5
+        for args, message in (
+            ((1.0, "0.5"), "Shifted.shift must be a real number, got '0.5'"),
+            ((1.0, 0.0, 1.0), "Shifted.growth must be a GrowthTransform, got float"),
+            ((True,), "Shifted.k must be a real number, got True"),
+        ):
+            with pytest.raises(SpecError) as exc:
+                shifted(*args)
+            assert str(exc.value) == message
 
 
 class TestAssociate:

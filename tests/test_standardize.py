@@ -80,6 +80,33 @@ class TestPresets:
             preset("unit-mean", r=0.5)
 
 
+class TestPresetParameters:
+    @pytest.mark.parametrize(
+        "name, kwargs, message",
+        [
+            ("center-mean", {"r": 3.0}, "preset 'center-mean' does not use r, got r=3.0"),
+            ("center-mean", {"k": 5}, "preset 'center-mean' does not use k, got k=5"),
+            ("center-min", {"m": 3}, "preset 'center-min' does not use m, got m=3"),
+            ("unit-mean", {"k": 7, "m": 9}, "preset 'unit-mean' does not use k, got k=7"),
+            ("unit-mean", {"m": 9}, "preset 'unit-mean' does not use m, got m=9"),
+        ],
+    )
+    def test_a_parameter_the_preset_does_not_use_is_refused(self, name, kwargs, message):
+        with pytest.raises(SpecError) as exc:
+            preset(name, **kwargs)
+        assert str(exc.value) == message
+
+    def test_a_typoed_parameter_in_a_preset_dict_is_refused(self):
+        with pytest.raises(SpecError) as exc:
+            from_dict({"kind": "preset", "name": "center-mean", "r": 3}, Standardization)
+        assert str(exc.value) == "preset 'center-mean' does not use r, got r=3.0"
+
+    def test_an_unread_parameter_at_its_default_is_accepted(self):
+        assert preset("center-min", r=2.0, k=0, m=2) == Center(Min())
+        am = ArithmeticMean()
+        assert preset("unit-mean", r=3, k=0, m=2) == CenterScale(am, MinkowskiDeviation(3, am))
+
+
 class TestFlags:
     def test_unit_mean_flags(self):
         spec = preset("unit-mean")
