@@ -7,22 +7,24 @@ it has a tag, then its dataclass fields under their own names, each through
 dict. `to_json` is that form with sorted keys and a 2-space indent.
 `from_dict(d, family)` reverses it for specs: the "kind" picks the class
 among the family's subclasses (optional when the family is a single tagged
-class), each value is coerced to its field's type hint, and a key may be
-omitted exactly when its field has a default. A bool field takes only a
-JSON boolean; an int field an integer, a float field a number, either one
-also a string spelling it, but never a boolean; a str field only a string; a
-tuple field only a list. So `"r": true`, `"path": 5` or `"weights": "1"` is
-an error rather than 1.0, "5" or (1.0,). Unknown keys are rejected rather
-than ignored so a typoed parameter cannot silently fall back to a default. A
-string names a standardization preset or a measure shorthand; an unknown
-name fails listing the known ones. Two kinds only decode: "preset" calls
-`preset`, and "gmidrange-correlation" (keys "k", "m") calls
-`GeneralizedMidrangeCorrelation`, whose cosine measure writes kind "cosine".
-These dict forms are what the CLI reads from JSON files.
+class), and a key may be omitted exactly when its field has a default. Each
+value is read by `_from_json`, then checked by `estimates._checked`, the rule
+every spec constructor applies, so `"r": true`, `"path": 5`, `"r": "nan"` or
+`"weights": "1"` is an error naming the kind and the key. `_from_json` reads
+only what JSON spells its own way: a string spelling a number for an int or
+float field, an integer within float64 for a float field (stored as a float),
+a list for a tuple field, element by element, and an object or a name for a
+spec. Unknown keys are rejected rather than ignored so a typoed parameter
+cannot silently fall back to a default. A string names a standardization
+preset or a measure shorthand; an unknown name fails listing the known ones.
+Two kinds only decode: "preset" calls `preset`, and "gmidrange-correlation"
+(keys "k", "m") calls `GeneralizedMidrangeCorrelation`, whose cosine measure
+writes kind "cosine". These dict forms are what the CLI reads from JSON files.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import functools
@@ -33,6 +35,7 @@ import types
 import typing
 
 from .errors import SpecError
+from .estimates import _checked
 from .measures import CosineStandardized, GeneralizedMidrangeCorrelation, MeasureSpec, Pearson
 from .standardize import Standardization, preset
 
@@ -125,7 +128,7 @@ def _build(ctor, d: dict, what: str):
     kwargs = {}
     for name, hint, required in _parameters(ctor):
         if name in d:
-            kwargs[name] = _coerce(d.pop(name), hint, what, name)
+            kwargs[name] = _checked(f"{what}: key {name!r}", hint, _from_json(d.pop(name), hint))
         elif required:
             raise SpecError(f"missing required key {name!r} for {what}")
     if d:
@@ -133,29 +136,17 @@ def _build(ctor, d: dict, what: str):
     return ctor(**kwargs)
 
 
-def _coerce(value, hint, what: str, key: str):
-    try:
-        return _convert(value, hint)
-    except SpecError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{what}: bad value {value!r} for key {key!r}: {exc}") from None
-
-
-# JSON types each scalar field takes; a bool, being an int, fits only a bool field
-_ACCEPTS = {bool: bool, int: (int, str), float: (int, float, str), str: str}
-
-
-def _convert(value, hint):
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:  # tuple[X, ...]
-        if not isinstance(value, (list, tuple)):
-            raise TypeError("expected a list")
-        return tuple(_convert(v, args[0]) for v in value)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        return None if value is None else _convert(value, args[0])
-    if hint in _ACCEPTS:
-        if not isinstance(value, _ACCEPTS[hint]) or isinstance(value, bool) != (hint is bool):
-            raise TypeError(f"expected {hint.__name__}")
-        return hint(value)
+def _from_json(value, hint):
+    """`value` as a field of type `hint` takes it, where JSON spells it its own way."""
+    if hint is int or hint is float:  # "2" or "2.5", and an int as a float
+        with contextlib.suppress(ValueError, OverflowError):  # else `_checked` refuses it as it is
+            if isinstance(value, str) or (hint is float and type(value) is int):
+                return hint(value)
+        return value
+    if hint is bool or hint is str:
+        return value
+    if isinstance(hint, types.UnionType):  # X | None
+        return None if value is None else _from_json(value, hint.__args__[0])
+    if isinstance(hint, types.GenericAlias):  # tuple[X, ...]
+        return [_from_json(v, hint.__args__[0]) for v in value] if isinstance(value, list) else value
     return from_dict(value, hint)

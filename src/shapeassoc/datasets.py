@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, SpecError
+from .errors import DatasetError, ShapeError, SpecError
 from .series import SeriesSet, load_set
 
 _DELIMITERS = {"comma": ",", "tab": "\t", "whitespace": None}
@@ -170,6 +170,8 @@ def format_matrix_csv(ids, values) -> str:
     for bit (a -0.0 mirrored by 0.0 is not); every other cell is written with repr."""
     ids = list(ids)
     v = np.asarray(values, dtype=np.float64)
+    if v.shape != (len(ids), len(ids)):
+        raise ShapeError(f"matrix of shape {v.shape} does not fit {len(ids)} ids")
     bits = v.view(np.int64)
     above = [[] for _ in ids]  # column c's strings above the diagonal, until row c is written
 

@@ -17,6 +17,7 @@ used by MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from types import GenericAlias, UnionType
 from typing import ClassVar, get_type_hints
@@ -31,8 +32,6 @@ def _check_weights(spec) -> None:
     w = tuple(float(v) for v in spec.weights)
     if len(w) < 2:
         raise SpecError(f"need at least two weights, got {len(w)}: a series has at least two samples")
-    if any(not np.isfinite(v) for v in w):
-        raise SpecError("weights must be finite")
     if any(v < 0.0 for v in w):
         raise SpecError("weights must be nonnegative")
     total = float(np.sum(w))
@@ -64,12 +63,18 @@ def _real(name: str, value) -> int | float:
 def _checked(what: str, kind, value):
     """`value` as a field of type `kind` holds it, or SpecError "`what` must be ...".
 
-    An int goes through `_integer`, a float `_real`, a bool also takes a numpy bool,
-    `X | None` None or an X, `tuple[X, ...]` any iterable of X's but a str, a family an instance."""
+    An int goes through `_integer`; a float `_real`, then must be finite (no nan, inf or
+    int beyond float64); a bool also takes a numpy bool; `X | None` None or an X;
+    `tuple[X, ...]` any iterable of X's but a str or a dict; a family an instance."""
+    if kind is float:  # before the shortcut below, which a float nan would pass
+        value = _real(what, value)
+        if not abs(value) <= sys.float_info.max:
+            raise SpecError(f"{what} must be a finite real number, got {value!r}")
+        return value
     if type(value) is kind:  # already as the field holds it
         return value
-    if kind is int or kind is float:
-        return (_integer if kind is int else _real)(what, value)
+    if kind is int:
+        return _integer(what, value)
     if kind is bool or kind is str:
         if not isinstance(value, (bool, np.bool_) if kind is bool else str):
             raise SpecError(f"{what} must be a {'boolean' if kind is bool else 'string'}, got {value!r}")
@@ -77,7 +82,7 @@ def _checked(what: str, kind, value):
     if isinstance(kind, UnionType):  # X | None
         return None if value is None else _checked(what, kind.__args__[0], value)
     if isinstance(kind, GenericAlias):  # tuple[X, ...]
-        if isinstance(value, str) or not hasattr(value, "__iter__"):
+        if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
             raise SpecError(f"{what} must be a tuple, got {value!r}")
         return tuple([_checked(what, kind.__args__[0], v) for v in value])
     if not isinstance(value, kind):
@@ -319,7 +324,7 @@ class MinkowskiDeviation(ScaleEstimate):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (np.isfinite(self.r) and self.r >= 1.0):
+        if self.r < 1.0:
             raise SpecError(f"deviation order must be >= 1, got {self.r!r}")
 
     @property

@@ -50,7 +50,7 @@ class DissimilaritySpec(Spec):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (np.isfinite(self.r) and self.r >= 1.0):
+        if self.r < 1.0:
             raise SpecError(f"Minkowski order must be >= 1, got {self.r!r}")
 
     @property
@@ -87,7 +87,7 @@ class RationalDecay(DecayTransform):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (np.isfinite(self.k) and self.k > 0.0):
+        if self.k <= 0.0:
             raise SpecError(f"decay constant must be > 0, got {self.k!r}")
 
     def evaluate(self, d: float) -> float:
@@ -113,7 +113,7 @@ class PowerHalf(GrowthTransform):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (np.isfinite(self.p) and self.p > 0.0):
+        if self.p <= 0.0:
             raise SpecError(f"power must be > 0, got {self.p!r}")
 
     def evaluate(self, d: float) -> float:

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import LengthError, ShapeError, SpecError
+from .errors import DomainError, LengthError, ShapeError, SpecError
 
 
 def _as_values(values) -> np.ndarray:
@@ -23,7 +23,7 @@ def _as_values(values) -> np.ndarray:
         raise LengthError(f"series needs at least 2 samples, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise ValueError(f"series contains a non-finite value at position {bad}")
+        raise DomainError(f"series contains a non-finite value at position {bad}")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr

@@ -302,6 +302,18 @@ class TestAxioms:
         assert "seed=0" in capsys.readouterr().out
 
 
+    def test_a_huge_float_field_is_one_error_line(self, tmp_path, capsys):
+        # json reads the 401-digit "k" as an int that no float64 holds
+        f = tmp_path / "m.json"
+        decay = {"kind": "rational-decay", "k": 10**400}
+        dis = {"r": 2, "standardization": "unit-mean"}
+        f.write_text(json.dumps({"kind": "minkowski-branch", "dissimilarity": dis, "decay": decay}))
+        assert main(["axioms", "--measure", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith("shapeassoc: error: rational-decay: key 'k' must be a finite real number")
+
+
 class TestBench:
     def test_synthetic_ok(self, capsys):
         code = run("bench", "--synthetic", "--seed", "0")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shapeassoc import (
     DatasetError,
     Pearson,
+    ShapeError,
     SpecError,
     association_matrix,
     load_set,
@@ -481,4 +482,20 @@ def test_a_reader_holds_at_most_one_line_of_cells(wide_short_texts, which, read)
 def test_refusals(act, message):
     with pytest.raises(DatasetError) as exc:
         act()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "ids, values, message",
+    [
+        (["a"], np.eye(2), "matrix of shape (2, 2) does not fit 1 ids"),
+        (["a", "b", "c"], np.eye(2), "matrix of shape (2, 2) does not fit 3 ids"),
+        (["a", "b"], np.ones((2, 3)), "matrix of shape (2, 3) does not fit 2 ids"),
+        (["a", "b"], np.ones(4), "matrix of shape (4,) does not fit 2 ids"),
+    ],
+    ids=["one-id", "three-ids", "not-square", "flat"],
+)
+def test_the_matrix_writer_refuses_a_matrix_that_does_not_fit_its_ids(ids, values, message):
+    with pytest.raises(ShapeError) as exc:
+        format_matrix_csv(ids, values)
     assert str(exc.value) == message

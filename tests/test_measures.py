@@ -59,7 +59,7 @@ from shapeassoc.bench import (
     SyntheticDataset,
     default_grid_measures,
 )
-from shapeassoc.config import from_dict
+from shapeassoc.config import from_dict, to_dict
 from shapeassoc.errors import ShapeAssocError
 from shapeassoc.estimates import Median, Spec, WeightedMean, central_values, scale_values
 from shapeassoc.measures import (
@@ -485,6 +485,86 @@ class TestEveryField:
             with pytest.raises(SpecError) as exc:
                 shifted(*args)
             assert str(exc.value) == message
+
+
+# JSON values that fit few fields, substituted into each field of each spec's dict form
+_MISFITS = (True, None, "x", "1e400", 10**400, -(10**400), math.nan, math.inf, [], {}, {"kind": "no-such"})
+
+
+def _decoded(spec, field: str, value):
+    """What `from_dict` makes of `spec`'s dict form with `value` at `field`, or its message."""
+    family = type(spec).__mro__[1]
+    try:
+        return from_dict({**to_dict(spec), field: value}, type(spec) if family is Spec else family)
+    except SpecError as exc:
+        return str(exc)
+
+
+def _built(spec, field: str, value):
+    """`spec` constructed with `value` at `field`, or the constructor's message."""
+    try:
+        return dataclasses.replace(spec, **{field: value})
+    except SpecError as exc:
+        return str(exc)
+
+
+class TestEveryFieldInJson:
+    """`from_dict` checks each field by the constructors' rule, `estimates._checked`."""
+
+    @pytest.mark.parametrize("cls, field", sorted(_EVERY_FIELD))
+    def test_a_misfit_is_a_spec_error_naming_the_kind_and_the_key(self, cls, field):
+        spec, kind = _EVERY_FIELD[cls, field]
+        key = f"{getattr(type(spec), 'tag', cls)}: key {field!r}"
+        for value in _MISFITS:
+            got = _decoded(spec, field, value)  # anything but a SpecError propagates
+            if isinstance(got, Spec):
+                assert type(got) is type(spec), value
+            elif not got.startswith(f"{key} must be "):
+                # refused past the field rule: by the field's family, which names
+                # itself, or by the constructor, as a Python call with that value is
+                assert (isinstance(kind, type) and issubclass(kind, Spec)) or got == _built(spec, field, value)
+
+    @pytest.mark.parametrize("cls, field", sorted(_EVERY_FIELD))
+    def test_both_paths_refuse_a_misfit_with_the_same_tail(self, cls, field):
+        spec, kind = _EVERY_FIELD[cls, field]
+        kind = typing.get_args(kind)[0] if isinstance(kind, types.UnionType) else kind
+        misfits = {int: (True,), float: (True, math.nan, math.inf, -math.inf)}.get(kind, ())
+        if typing.get_origin(kind) is tuple:
+            misfits = ({}, {"kind": "no-such"})
+        for value in misfits:
+            built, decoded = _built(spec, field, value), _decoded(spec, field, value)
+            tail = built.removeprefix(f"{cls}.{field} ")
+            assert tail.startswith("must be ") and tail.endswith(f", got {value!r}")
+            assert decoded == f"{getattr(type(spec), 'tag', cls)}: key {field!r} {tail}"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: RationalDecay(10**400), f"RationalDecay.k must be a finite real number, got {10**400}"),
+            (lambda: PowerHalf(math.nan), "PowerHalf.p must be a finite real number, got nan"),
+            (lambda: PowerHalf(np.float32("inf")), "PowerHalf.p must be a finite real number, got inf"),
+            (
+                lambda: DissimilaritySpec(math.inf, UNIT_MEAN),
+                "DissimilaritySpec.r must be a finite real number, got inf",
+            ),
+            (
+                lambda: WeightedMean((10**400, 0)),
+                f"WeightedMean.weights must be a finite real number, got {10**400}",
+            ),
+            (lambda: SyntheticCluster(2, {}), "SyntheticCluster.inverted must be a tuple, got {}"),
+        ],
+        ids=["huge-k", "nan-p", "numpy-inf-p", "inf-r", "huge-weight", "dict-flags"],
+    )
+    def test_a_constructor_names_the_class_and_field(self, build, message):
+        with pytest.raises(SpecError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_json_spellings_are_kept(self):
+        one = from_dict({"kind": "rational-decay", "k": 1}, DecayTransform)
+        assert type(one.k) is float and to_dict(one) == {"kind": "rational-decay", "k": 1.0}
+        assert from_dict({"kind": "rational-decay", "k": "1"}, DecayTransform) == one
+        assert from_dict({"size": "2", "inverted": [True, False]}, SyntheticCluster) == SyntheticCluster(2, (True, False))
 
 
 class TestAssociate:

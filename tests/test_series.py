@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shapeassoc import (
+    DomainError,
     LengthError,
     SeriesSet,
     ShapeError,
@@ -13,6 +14,7 @@ from shapeassoc import (
     is_constant,
     load_set,
 )
+from shapeassoc.errors import ShapeAssocError
 from shapeassoc.series import is_constant_values
 
 from helpers import random_series, ts
@@ -161,3 +163,13 @@ def test_refusals(act, error, message):
     with pytest.raises(error) as exc:
         act()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_value_is_a_domain_error(value):
+    with pytest.raises(DomainError) as exc:
+        TimeSeries("a", [1.0, value])
+    assert str(exc.value) == "series contains a non-finite value at position 1"
+    assert isinstance(exc.value, ValueError) and isinstance(exc.value, ShapeAssocError)
+    with pytest.raises(DomainError):
+        load_set([(2.0, 3.0), (value, 1.0)])
