@@ -148,5 +148,5 @@ def _from_json(value, hint):
     if isinstance(hint, types.UnionType):  # X | None
         return None if value is None else _from_json(value, hint.__args__[0])
     if isinstance(hint, types.GenericAlias):  # tuple[X, ...]
-        return [_from_json(v, hint.__args__[0]) for v in value] if isinstance(value, list) else value
+        return [_from_json(v, hint.__args__[0]) for v in value] if isinstance(value, (list, tuple)) else value
     return from_dict(value, hint)

@@ -304,6 +304,12 @@ class TestFlagAndTupleFields:
         assert json.loads(to_json(WeightedMean((1, 0))))["weights"] == [1.0, 0.0]
         assert '"weights": [\n    1.0,\n    0.0\n  ]' in to_json(WeightedMean((1, 0)))
 
+    def test_a_tuple_is_read_like_a_list(self):
+        spec = from_dict({"kind": "synthetic", "clusters": ({"size": 2},)}, SyntheticDataset)
+        assert spec == SyntheticDataset(clusters=(SyntheticCluster(2),))
+        weights = from_dict({"kind": "weighted-mean", "weights": ("0.5", "0.5")}, CentralEstimate)
+        assert weights == WeightedMean((0.5, 0.5))
+
 
 class TestSubjectDescription:
     def test_subjects(self):

@@ -20,8 +20,7 @@ from the repository root with:
     PYTHONPATH=src python tests/test_golden.py
 
 which prints each key it adds, removes or changes, section by section,
-before it writes the file. With `--check` it prints the same lines, writes
-nothing, and exits 1 if any key changed.
+before it writes the file.
 """
 
 from __future__ import annotations
@@ -401,10 +400,7 @@ def test_changes_name_each_key_by_section():
 
 if __name__ == "__main__":
     got = {name: fn() for name, fn in SECTIONS.items()}
-    changed = _changes(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}, got)
-    for line in changed:
+    for line in _changes(json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}, got):
         sys.stdout.write(line + "\n")
-    if "--check" in sys.argv[1:]:
-        sys.exit(1 if changed else 0)
     GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {GOLDEN}\n")
