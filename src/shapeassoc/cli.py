@@ -35,7 +35,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ShapeAssocError(f"{path}: invalid JSON: {exc}") from None
 
 

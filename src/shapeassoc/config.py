@@ -6,17 +6,17 @@ it has a tag, then its dataclass fields under their own names, each through
 "nan", a tuple a list, and an object with its own `to_dict` that method's
 dict. `to_json` is that form with sorted keys and a 2-space indent.
 `from_dict(d, family)` reverses it for specs: the "kind" picks the class
-among the family's subclasses (optional when the family is a single tagged
-class), and a key may be omitted exactly when its field has a default. Each
-value is read by `_from_json`, then checked by `estimates._checked`, the rule
-every spec constructor applies, so `"r": true`, `"path": 5`, `"r": "nan"` or
-`"weights": "1"` is an error naming the kind and the key. `_from_json` reads
-only what JSON spells its own way: a string spelling a number for an int or
-float field, an integer within float64 for a float field (stored as a float),
-a list for a tuple field, element by element, and an object or a name for a
-spec. Unknown keys are rejected rather than ignored so a typoed parameter
-cannot silently fall back to a default. A string names a standardization
-preset or a measure shorthand; an unknown name fails listing the known ones.
+among a family base's subclasses (a spec class decodes as itself, and the
+kind is then optional), and a key may be omitted exactly when its field has
+a default. Each value is read by `_from_json`, then checked by
+`estimates._checked`, the rule every spec constructor applies, so `"r":
+true`, `"path": 5`, `"r": "nan"` or `"weights": "1"` is an error naming the
+kind and the key. `_from_json` reads only what JSON spells its own way: a
+string spelling a number for an int or float field, a list for a tuple
+field, element by element, and an object or a name for a spec. Unknown keys
+are rejected rather than ignored so a typoed parameter cannot silently fall
+back to a default. A string names a standardization preset or a measure
+shorthand; an unknown name fails listing the known ones.
 Two kinds only decode: "preset" calls `preset`, and "gmidrange-correlation"
 (keys "k", "m") calls `GeneralizedMidrangeCorrelation`, whose cosine measure
 writes kind "cosine". These dict forms are what the CLI reads from JSON files.
@@ -95,15 +95,16 @@ def from_dict(d, family):
     if not isinstance(d, dict):
         raise SpecError(f"{family.__name__} must be an object, got {d!r}")
     d = dict(d)
-    kinds = {cls.tag: cls for cls in family.__subclasses__()}
+    if dataclasses.is_dataclass(family):  # one spec class, not a family base
+        tag = getattr(family, "tag", None)
+        kinds = {tag: family}
+        d.setdefault("kind", tag)
+    else:
+        kinds = {cls.tag: cls for cls in family.__subclasses__()}
     if family is Standardization:
         kinds["preset"] = preset  # {"kind": "preset", "name": ..., "r": ...}
     if family is MeasureSpec:
         kinds["gmidrange-correlation"] = GeneralizedMidrangeCorrelation
-    if not kinds:
-        tag = getattr(family, "tag", None)
-        kinds = {tag: family}
-        d.setdefault("kind", tag)
     if "kind" not in d:
         raise SpecError(f"missing required key 'kind' for {family.__name__}")
     kind = d.pop("kind")
@@ -138,12 +139,10 @@ def _build(ctor, d: dict, what: str):
 
 def _from_json(value, hint):
     """`value` as a field of type `hint` takes it, where JSON spells it its own way."""
-    if hint is int or hint is float:  # "2" or "2.5", and an int as a float
-        with contextlib.suppress(ValueError, OverflowError):  # else `_checked` refuses it as it is
-            if isinstance(value, str) or (hint is float and type(value) is int):
-                return hint(value)
-        return value
-    if hint is bool or hint is str:
+    if (hint is int or hint is float) and isinstance(value, str):  # "2" or "2.5"
+        with contextlib.suppress(ValueError):  # else `_checked` refuses it as it is
+            return hint(value)
+    if hint in (int, float, bool, str):
         return value
     if isinstance(hint, types.UnionType):  # X | None
         return None if value is None else _from_json(value, hint.__args__[0])

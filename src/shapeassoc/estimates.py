@@ -29,7 +29,7 @@ from .errors import DomainError, SpecError
 
 def _check_weights(spec) -> None:
     Spec.__post_init__(spec)
-    w = tuple(float(v) for v in spec.weights)
+    w = spec.weights
     if len(w) < 2:
         raise SpecError(f"need at least two weights, got {len(w)}: a series has at least two samples")
     if any(v < 0.0 for v in w):
@@ -37,7 +37,6 @@ def _check_weights(spec) -> None:
     total = float(np.sum(w))
     if abs(total - 1.0) > 1e-9:
         raise SpecError(f"weights must sum to 1 within 1e-9, got {total!r}")
-    object.__setattr__(spec, "weights", w)
     _set_bounds(spec, len(w), len(w))
 
 
@@ -63,14 +62,14 @@ def _real(name: str, value) -> int | float:
 def _checked(what: str, kind, value):
     """`value` as a field of type `kind` holds it, or SpecError "`what` must be ...".
 
-    An int goes through `_integer`; a float `_real`, then must be finite (no nan, inf or
-    int beyond float64); a bool also takes a numpy bool; `X | None` None or an X;
-    `tuple[X, ...]` any iterable of X's but a str or a dict; a family an instance."""
+    An int goes through `_integer`; a float `_real`, is checked finite (no nan, inf or int
+    beyond float64) and stored as a Python float; a bool also takes a numpy bool; `X | None`
+    None or an X; `tuple[X, ...]` any iterable of X's but a str or a dict; a family an instance."""
     if kind is float:  # before the shortcut below, which a float nan would pass
         value = _real(what, value)
         if not abs(value) <= sys.float_info.max:
             raise SpecError(f"{what} must be a finite real number, got {value!r}")
-        return value
+        return float(value)
     if type(value) is kind:  # already as the field holds it
         return value
     if kind is int:

@@ -313,6 +313,18 @@ class TestAxioms:
         assert captured.out == "" and captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.err.startswith("shapeassoc: error: rational-decay: key 'k' must be a finite real number")
 
+    def test_an_int_past_the_digit_limit_names_the_file(self, tmp_path, capsys):
+        # json refuses a 5,001-digit int with a plain ValueError, not a JSONDecodeError
+        f = tmp_path / "m.json"
+        decay = {"kind": "rational-decay", "k": "HUGE"}
+        dis = {"r": 2, "standardization": "unit-mean"}
+        text = json.dumps({"kind": "minkowski-branch", "dissimilarity": dis, "decay": decay})
+        f.write_text(text.replace('"HUGE"', "9" * 5001))
+        assert main(["axioms", "--measure", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"shapeassoc: error: {f}: invalid JSON: Exceeds the limit (4300 digits)")
+
 
 class TestBench:
     def test_synthetic_ok(self, capsys):

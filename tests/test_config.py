@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import types
 from pathlib import Path
@@ -220,6 +221,17 @@ class TestStrictness:
         spec = from_dict({"kind": "file", "path": "x.txt", "has_ids": False}, DatasetSpec)
         assert spec.has_ids is False
 
+    def test_a_concrete_class_decodes_as_itself(self):
+        @dataclasses.dataclass(frozen=True)
+        class Shifted(RationalDecay):  # inherits the tag "rational-decay"
+            shift: float = 0.0
+
+        d = {"kind": "rational-decay", "k": 1}
+        assert type(from_dict(d, RationalDecay)) is RationalDecay
+        assert type(from_dict({"k": 1}, RationalDecay)) is RationalDecay
+        assert type(from_dict(d, DecayTransform)) is RationalDecay
+        assert from_dict({"k": 1, "shift": 0.5}, Shifted) == Shifted(1.0, 0.5)
+
     def test_key_omitted_only_when_field_has_a_default(self):
         assert from_dict({"kind": "rational-decay"}, DecayTransform) == RationalDecay(1.0)
         for kind in ("projection", "order-statistic", "truncated-mean", "generalized-midrange"):
@@ -277,7 +289,8 @@ class TestNumberFields:
         assert from_dict(json.loads(to_json(spec)), SyntheticDataset) == spec
 
     def test_a_float_field_keeps_a_python_int(self):
-        assert '"r": 2,' in to_json(DissimilaritySpec(2, UNIT_MEAN))
+        spec = DissimilaritySpec(2, UNIT_MEAN)
+        assert type(spec.r) is float and '"r": 2.0,' in to_json(spec)
 
     @pytest.mark.parametrize("value", [np.float32(1.5), np.int64(3), np.float64(2.5)])
     def test_a_float_field_stores_a_numpy_scalar_as_a_python_number(self, value):

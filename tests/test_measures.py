@@ -59,7 +59,7 @@ from shapeassoc.bench import (
     SyntheticDataset,
     default_grid_measures,
 )
-from shapeassoc.config import from_dict, to_dict
+from shapeassoc.config import from_dict, to_dict, to_json
 from shapeassoc.errors import ShapeAssocError
 from shapeassoc.estimates import Median, Spec, WeightedMean, central_values, scale_values
 from shapeassoc.measures import (
@@ -559,6 +559,21 @@ class TestEveryFieldInJson:
         with pytest.raises(SpecError) as exc:
             build()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "cls, field", sorted(k for k, (_, kind) in _EVERY_FIELD.items() if kind in (float, tuple[float, ...]))
+    )
+    def test_an_int_in_a_float_field_is_stored_as_a_float(self, cls, field):
+        spec, kind = _EVERY_FIELD[cls, field]
+        old = getattr(spec, field)
+        value = int(old) if kind is float else (1,) + (0,) * (len(old) - 1)  # an int the field accepts
+        built = dataclasses.replace(spec, **{field: value})
+        decoded = _decoded(spec, field, value)
+        as_numpy = dataclasses.replace(spec, **{field: np.array(value, dtype=np.int64)[()]})
+        for got in (decoded, as_numpy):
+            assert got == built and to_json(got) == to_json(built)
+        stored = getattr(decoded, field)
+        assert all(type(v) is float for v in (stored if kind is not float else (stored,)))
 
     def test_json_spellings_are_kept(self):
         one = from_dict({"kind": "rational-decay", "k": 1}, DecayTransform)
