@@ -56,8 +56,7 @@ class FileDataset(DatasetSpec):
     orientation: str = "auto"
     has_ids: bool = False
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         _check_layout(self.delimiter, self.orientation)
 
     def load(self) -> tuple[SeriesSet, None]:
@@ -69,8 +68,7 @@ class SyntheticCluster(Spec):
     size: int
     inverted: tuple[bool, ...] = ()
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.size < 2:
             raise SpecError(f"synthetic cluster size must be >= 2, got {self.size}")
         inv = self.inverted or (False,) * self.size
@@ -105,8 +103,7 @@ class SyntheticDataset(DatasetSpec):
     noise_scale: float = 0.05
     clusters: tuple[SyntheticCluster, ...] = DEFAULT_CLUSTERS
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.seed < 0:
             raise SpecError(f"synthetic seed must be >= 0, got {self.seed}")
         if self.length < 8:
@@ -158,8 +155,7 @@ class BenchmarkMeasure(Spec):
     measure: MeasureSpec
     expect: str | None = None  # "all" | "not-all" | None
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.expect not in (None, "all", "not-all"):
             raise SpecError(f"expectation must be 'all', 'not-all' or null, got {self.expect!r}")
 
@@ -170,8 +166,7 @@ class BenchmarkSpec(Spec):
     measures: tuple[BenchmarkMeasure, ...]
     true_clusters: tuple[tuple[str, ...], ...] | None = None
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if not self.measures:
             raise SpecError("benchmark needs at least one measure")
         names = [m.name for m in self.measures]

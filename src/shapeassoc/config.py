@@ -35,7 +35,7 @@ import types
 import typing
 
 from .errors import SpecError
-from .estimates import _checked
+from .estimates import _checked, _unwritable
 from .measures import CosineStandardized, GeneralizedMidrangeCorrelation, MeasureSpec, Pearson
 from .standardize import Standardization, preset
 
@@ -93,7 +93,7 @@ def from_dict(d, family):
             )
         return MEASURE_SHORTHANDS[d]()
     if not isinstance(d, dict):
-        raise SpecError(f"{family.__name__} must be an object, got {d!r}")
+        raise SpecError(f"{family.__name__} must be an object, got {_unwritable(d) or repr(d)}")
     d = dict(d)
     if dataclasses.is_dataclass(family):  # one spec class, not a family base
         tag = getattr(family, "tag", None)
@@ -111,7 +111,7 @@ def from_dict(d, family):
     try:
         ctor = kinds[kind]
     except (KeyError, TypeError):
-        raise SpecError(f"unknown {family.__name__} kind {kind!r}") from None
+        raise SpecError(f"unknown {family.__name__} kind {_unwritable(kind) or repr(kind)}") from None
     return _build(ctor, d, kind or family.__name__)
 
 

@@ -5,11 +5,11 @@ minimum and maximum. Estimates are small frozen spec objects; each class
 carries its JSON tag, its evaluation (`evaluate`), its length bounds and the
 algebraic traits that standardizations and measures rely on. `Spec`, the
 base of every spec family here and in the modules above, checks each field
-against its annotation and derives a composite's `bounds` from its parts.
-`central_values` and `scale_values` evaluate them on a value vector, with
-their length and overflow checks. `minkowski_norm` is the one order-r norm,
-used by MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of
-`measures`.
+against its annotation, derives a composite's `bounds` from its parts, and
+only then runs the class's own rule, `_validate`. `central_values` and
+`scale_values` evaluate them on a value vector, with their length and
+overflow checks. `minkowski_norm` is the one order-r norm, used by
+MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of `measures`.
 
 - translation additive:  E(x + q) = E(x) + q
 - scale proportional:    E(p * x) = p * E(x) for p > 0
@@ -28,7 +28,6 @@ from .errors import DomainError, SpecError
 
 
 def _check_weights(spec) -> None:
-    Spec.__post_init__(spec)
     w = spec.weights
     if len(w) < 2:
         raise SpecError(f"need at least two weights, got {len(w)}: a series has at least two samples")
@@ -52,6 +51,17 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _unwritable(value) -> str:
+    """For an int too long for `repr`, `str` and `json`, "an integer of N digits"; else "".
+    They write at most `sys.get_int_max_str_digits()` digits; before Python 3.10.7, any number."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not isinstance(value, int) or not 0 < 3 * limit < value.bit_length():  # 8**limit < 10**limit
+        return ""
+    d = int(value.bit_length() * math.log10(2)) + 1  # the count, or one more
+    d -= abs(value) < 10 ** (d - 1)
+    return f"an integer of {d} digits" if d > limit else ""
+
+
 def _real(name: str, value) -> int | float:
     # a bool is no number; a Python number is kept as given, a numpy one made JSON-writable
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -65,6 +75,8 @@ def _checked(what: str, kind, value):
     An int goes through `_integer`; a float `_real`, is checked finite (no nan, inf or int
     beyond float64) and stored as a Python float; a bool also takes a numpy bool; `X | None`
     None or an X; `tuple[X, ...]` any iterable of X's but a str or a dict; a family an instance."""
+    if shown := _unwritable(value):  # first: an int no refusal below could write
+        raise SpecError(f"{what} must have at most {sys.get_int_max_str_digits()} digits, got {shown}")
     if kind is float:  # before the shortcut below, which a float nan would pass
         value = _real(what, value)
         if not abs(value) <= sys.float_info.max:
@@ -92,8 +104,8 @@ def _checked(what: str, kind, value):
 class Spec:
     """Base of every spec: a JSON `tag` and length `bounds` (least, exact or None).
 
-    `__post_init__` stores each field as `_checked` by its annotation, and the
-    lengths of its Spec-typed fields set `bounds`. Subclasses call it first."""
+    `__post_init__`, the one construction path, stores each field as `_checked` by its
+    annotation, sets `bounds` from its Spec-typed fields' lengths, then calls `_validate`."""
 
     tag: ClassVar[str]
     bounds = (2, None)
@@ -107,14 +119,17 @@ class Spec:
             object.__setattr__(self, f.name, value)
             if isinstance(kind, type) and issubclass(kind, Spec):
                 parts.append((f.name, *value.bounds))
-        if not parts:  # bounds stay (2, None)
-            return
-        lo = max(n for _, n, _ in parts)
-        exact = {e for _, _, e in parts if e is not None}
-        if len(exact) > 1 or any(e < lo for e in exact):
-            sides = (f"the {name} (length {f'>= {n}' if e is None else e})" for name, n, e in parts)
-            raise SpecError(f"no length meets both {' and '.join(sides)}")
-        object.__setattr__(self, "bounds", (lo, exact.pop() if exact else None))
+        if parts:  # else bounds stay (2, None)
+            lo = max(n for _, n, _ in parts)
+            exact = {e for _, _, e in parts if e is not None}
+            if len(exact) > 1 or any(e < lo for e in exact):
+                sides = (f"the {name} (length {f'>= {n}' if e is None else e})" for name, n, e in parts)
+                raise SpecError(f"no length meets both {' and '.join(sides)}")
+            object.__setattr__(self, "bounds", (lo, exact.pop() if exact else None))
+        self._validate()
+
+    def _validate(self):
+        """The class's own construction rule; the base has none."""
 
 
 class CentralEstimate(Spec):
@@ -164,8 +179,7 @@ class Projection(CentralEstimate):
     odd = True
     k: int
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.k < 1:
             raise SpecError(f"projection index must be >= 1, got {self.k}")
         _set_bounds(self, self.k)
@@ -181,8 +195,7 @@ class OrderStatistic(CentralEstimate):
     tag = "order-statistic"
     k: int
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.k < 1:
             raise SpecError(f"order statistic index must be >= 1, got {self.k}")
         _set_bounds(self, self.k)
@@ -215,8 +228,7 @@ class TruncatedMean(CentralEstimate):
     odd = True
     m: int
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.m < 0:
             raise SpecError(f"truncation count must be >= 0, got {self.m}")
         _set_bounds(self, 2 * self.m + 1)
@@ -237,8 +249,7 @@ class GeneralizedMidrange(CentralEstimate):
     k: int
     m: int
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if not 0 <= self.k < self.m:
             raise SpecError(f"need 0 <= k < m, got k={self.k}, m={self.m}")
         _set_bounds(self, 2 * self.m + 1)
@@ -271,7 +282,7 @@ class WeightedMean(CentralEstimate):
     odd = True
     weights: tuple[float, ...]
 
-    __post_init__ = _check_weights
+    _validate = _check_weights
 
     def evaluate(self, v: np.ndarray) -> float:
         return float(np.dot(self.weights, v))
@@ -284,7 +295,7 @@ class OrderedWeightedMean(CentralEstimate):
     tag = "ordered-weighted-mean"
     weights: tuple[float, ...]
 
-    __post_init__ = _check_weights
+    _validate = _check_weights
 
     def evaluate(self, v: np.ndarray) -> float:
         return float(np.dot(self.weights, np.sort(v)))
@@ -321,8 +332,7 @@ class MinkowskiDeviation(ScaleEstimate):
     r: float
     center: CentralEstimate
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.r < 1.0:
             raise SpecError(f"deviation order must be >= 1, got {self.r!r}")
 

@@ -48,8 +48,7 @@ class DissimilaritySpec(Spec):
     standardization: Standardization
     limits = property(lambda self: (0.0, 2.0 if self.normal else math.inf))
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.r < 1.0:
             raise SpecError(f"Minkowski order must be >= 1, got {self.r!r}")
 
@@ -85,8 +84,7 @@ class RationalDecay(DecayTransform):
     tag = "rational-decay"
     k: float = 1.0
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.k <= 0.0:
             raise SpecError(f"decay constant must be > 0, got {self.k!r}")
 
@@ -111,8 +109,7 @@ class PowerHalf(GrowthTransform):
     tag = "power-half"
     p: float = 2.0
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         if self.p <= 0.0:
             raise SpecError(f"power must be > 0, got {self.p!r}")
 
@@ -249,8 +246,7 @@ class MinkowskiBranch(MeasureSpec):
     dissimilarity: DissimilaritySpec
     decay: DecayTransform = RationalDecay(1.0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         _require_branch_preconditions(self.dissimilarity, "branch association")
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
@@ -269,8 +265,7 @@ class MinkowskiContrast(MeasureSpec):
     dissimilarity: DissimilaritySpec
     growth: GrowthTransform = PowerHalf(2.0)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         _require_branch_preconditions(self.dissimilarity, "contrast association")
         if not self.dissimilarity.normal:
             raise SpecError(

@@ -68,8 +68,7 @@ class CenterScale(Standardization):
     spread: ScaleEstimate
     odd = property(lambda self: self.center.odd and self.spread.even)
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _validate(self):
         # r when the spread is the order-r Minkowski deviation of the same center
         s = self.spread
         r = s.r if isinstance(s, MinkowskiDeviation) and s.center == self.center else None

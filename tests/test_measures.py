@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import json
 import math
 import sys
 import threading
@@ -61,7 +62,16 @@ from shapeassoc.bench import (
 )
 from shapeassoc.config import from_dict, to_dict, to_json
 from shapeassoc.errors import ShapeAssocError
-from shapeassoc.estimates import Median, Spec, WeightedMean, central_values, scale_values
+from shapeassoc.estimates import (
+    CentralEstimate,
+    Median,
+    Projection,
+    Spec,
+    TruncatedMean,
+    WeightedMean,
+    central_values,
+    scale_values,
+)
 from shapeassoc.measures import (
     DecayTransform,
     GrowthTransform,
@@ -580,6 +590,95 @@ class TestEveryFieldInJson:
         assert type(one.k) is float and to_dict(one) == {"kind": "rational-decay", "k": 1.0}
         assert from_dict({"kind": "rational-decay", "k": "1"}, DecayTransform) == one
         assert from_dict({"size": "2", "inverted": [True, False]}, SyntheticCluster) == SyntheticCluster(2, (True, False))
+
+
+class TestConstructionPath:
+    """`Spec.__post_init__` builds every spec: the field rule, the bounds, then `_validate`."""
+
+    def test_only_spec_defines_post_init(self):
+        definers = {cls.__name__: [c.__name__ for c in cls.__mro__ if "__post_init__" in vars(c)] for cls in _EVERY_SPEC}
+        assert definers == dict.fromkeys(definers, ["Spec"])
+
+    def test_validate_runs_once_on_checked_fields_after_the_bounds(self):
+        seen = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Recorded(Spec):
+            r: float
+            center: CentralEstimate
+
+            def _validate(self):
+                seen.append((type(self.r), self.bounds))
+
+        Recorded(2, GeneralizedMidrange(0, 2))
+        assert seen == [(float, (5, None))]
+
+
+# 5,001 digits, past the 4,300 that Python writes by default
+_HUGE = 10**5000
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit on the digits of an int it writes, whatever the environment set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+class TestIntsTooLongToWrite:
+    """An int with more digits than `repr`, `str` and `json` write is a SpecError naming its digit count."""
+
+    @pytest.mark.parametrize("cls, field", sorted(_EVERY_FIELD))
+    def test_every_field_refuses_one_in_python_and_in_json(self, cls, field):
+        """Among them RationalDecay.k, which wrote its own refusal, and Projection.k and
+        TruncatedMean.m, which built specs that `repr` and `to_json` could not write."""
+        spec, kind = _EVERY_FIELD[cls, field]
+        kind = typing.get_args(kind)[0] if isinstance(kind, types.UnionType) else kind
+        tail = "must have at most 4300 digits, got an integer of 5001 digits"
+        # a negative one would also break Projection's and TruncatedMean's own floor
+        for value in [_HUGE, -_HUGE] + ([(_HUGE,)] if typing.get_origin(kind) is tuple else []):
+            assert _built(spec, field, value) == f"{cls}.{field} {tail}"
+            # a spec field is read by `from_dict`, which refuses a non-object with its own message
+            assert _decoded(spec, field, value).endswith("got an integer of 5001 digits")
+
+    def test_the_limit_is_exact(self):
+        largest = 10**4300 - 1
+        assert Projection(largest).k == largest
+        with pytest.raises(SpecError) as exc:  # written, as the float rule writes any refused value
+            RationalDecay(largest)
+        assert str(exc.value) == f"RationalDecay.k must be a finite real number, got {largest}"
+        for value, digits in ((10**4300, 4301), (-(10**4301 - 1), 4301), (2**14286, 4301)):
+            with pytest.raises(SpecError) as exc:
+                Projection(value)
+            assert str(exc.value) == f"Projection.k must have at most 4300 digits, got an integer of {digits} digits"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Projection(2**63), SyntheticDataset(seed=2**70), Projection(10**4300 - 1)],
+        ids=["2**63", "seed-2**70", "4300-digits"],
+    )
+    def test_an_int_python_writes_builds_and_round_trips(self, spec):
+        assert from_dict(json.loads(to_json(spec)), type(spec)) == spec
+        assert repr(spec).startswith(f"{type(spec).__name__}(")
+
+    def test_without_a_limit_any_int_builds(self, monkeypatch):
+        sys.set_int_max_str_digits(0)
+        assert Projection(_HUGE).k == _HUGE
+        sys.set_int_max_str_digits(4300)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")  # as before Python 3.10.7
+        assert TruncatedMean(_HUGE).m == _HUGE
+
+    def test_from_dict_shows_a_non_object_or_a_kind_by_its_digit_count(self):
+        for d, message in (
+            (_HUGE, "DecayTransform must be an object, got an integer of 5001 digits"),
+            ({"kind": _HUGE}, "unknown DecayTransform kind an integer of 5001 digits"),
+        ):
+            with pytest.raises(SpecError) as exc:
+                from_dict(d, DecayTransform)
+            assert str(exc.value) == message
 
 
 class TestAssociate:

@@ -5,29 +5,37 @@ cannot see, and compares the tree's node sets and |A| with the unchanged run.
 The inputs are the 12 measures of the stock grid on the synthetic data at
 seeds 0-2. Random offsets are left out: they make the standardization's
 condition number large, and the bound on what they move belongs to that
-analysis, not to these relations.
+analysis, not to these relations. Two relations change something else the
+tree cannot see: the decay of a branch measure, and, on tie-heavy similarity
+matrices, the order of the objects.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
 from shapeassoc import (
+    ExpDecay,
+    RationalDecay,
     SeriesSet,
     SimilarityMatrix,
     SyntheticDataset,
     TimeSeries,
     association_matrix,
+    cut,
     default_grid_measures,
     generate_synthetic,
     single_linkage,
 )
 from shapeassoc.standardize import standardize_values
+from test_cluster import from_upper
 
 SEEDS = (0, 1, 2)
 GRID = {m.name: m.measure for m in default_grid_measures(None)}
 CENTERS = sorted({name.split("-", 1)[1] for name in GRID})
+BRANCHES = sorted(name for name in GRID if name.startswith("branch-"))
 # At seeds 0-4 the most |A| moved under negation was 3.9e-16, and the most either
 # closed form of the r = 2 identity missed was 7.0e-15.
 _NEGATION_TOL = 1e-15
@@ -98,3 +106,40 @@ def test_branch_and_contrast_are_closed_forms_of_one_cosine(center, seed):
     closed = np.sign(g) / (1.0 + np.sqrt(np.maximum(2.0 - 2.0 * np.abs(g), 0.0)))
     assert np.max(np.abs(by_branch - closed)[off]) <= _IDENTITY_TOL
     assert _unchanged(f"branch-{center}", seed)[1] == _unchanged(f"contrast-{center}", seed)[1]
+
+
+@pytest.mark.parametrize("decay", [ExpDecay(), RationalDecay(0.5), RationalDecay(3.0)], ids=repr)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", BRANCHES)
+def test_swapping_the_decay_of_a_branch_measure_keeps_the_tree(name, seed, decay):
+    """A branch value is +-decay(D) of the closer orientation. Every decay falls
+    strictly, so |A| keeps its order, and so does the tree, which reads only that
+    order; the sign, which single linkage ignores, comes from the branch."""
+    swapped = dataclasses.replace(GRID[name], decay=decay)
+    assoc = association_matrix(swapped, _data(seed))
+    tree = single_linkage(SimilarityMatrix.from_association(assoc.ids, assoc.values))
+    assert set(tree.nodes()) == _unchanged(name, seed)[1]
+
+
+def _partitions(tree) -> dict[float, set]:
+    """For each distinct merge level l, the partition once every merge at a level >= l is made."""
+    k = len(tree.leaves)
+    levels = [m.level for m in tree.merges]
+    return {
+        level: {frozenset(group) for group in cut(tree, k - sum(v >= level for v in levels))}
+        for level in set(levels)
+    }
+
+
+@pytest.mark.parametrize("step", [1 / 2, 1 / 3, 1 / 5])
+def test_permuting_a_tie_heavy_matrix_keeps_the_partition_at_every_level(step):
+    """Which of several tied pairs merges first depends on the (row, column)
+    order, so node sets may differ; the partition at each level may not, since
+    it holds the components of the pairs at that level or above."""
+    rng, order_rng = np.random.default_rng(65), np.random.default_rng(66)
+    for _ in range(150):  # the generator of test_cluster's tie-heavy checks
+        k = int(rng.integers(2, 41))
+        m = from_upper(np.round(rng.uniform(0.0, 1.0, (k, k)) / step) * step)
+        order = order_rng.permutation(k)
+        permuted = SimilarityMatrix(tuple(m.ids[i] for i in order), m.values[np.ix_(order, order)])
+        assert _partitions(single_linkage(permuted)) == _partitions(single_linkage(m))
