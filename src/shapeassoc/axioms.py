@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, SpecError
 from .config import plain, to_dict, to_json
-from .estimates import Spec, _integer, _real
+from .estimates import Spec, _checked, _real, _unwritable
 from .measures import MeasureSpec, associate_values
 from .series import is_constant_values
 
@@ -196,10 +196,11 @@ class Probe:
     bounds = property(lambda self: (self.min_n, None))
     limits = property(lambda self: _LIMITS[self.kind])
 
-    def __post_init__(self):
+    def __post_init__(self):  # `fn`'s annotation is no type the field rule reads
+        for name, kind in (("kind", str), ("name", str), ("min_n", int)):
+            object.__setattr__(self, name, _checked(name, kind, getattr(self, name)))
         if self.kind not in _ALL:
             raise SpecError(f"unknown subject kind {self.kind!r}")
-        object.__setattr__(self, "min_n", _integer("min_n", self.min_n))
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         value = self.fn(vx, vy)
@@ -364,8 +365,9 @@ def verify(
 ) -> PropertyReport:
     """Check properties on randomized inputs; see module docstring.
 
-    `seed`, `trials` and both ends of `n_range` must be integers, and `tol`
-    a real number (a bool is neither). The arrays a subject is called with
+    By the spec field rule, `seed`, `trials` and both ends of `n_range` are
+    integers and `properties` PropertyIds; `tol` is a real number (a bool is
+    neither). The arrays a subject is called with
     are read-only, because other subjects share them: a subject that writes
     into one raises numpy's ValueError, which `verify` does not catch.
 
@@ -373,30 +375,25 @@ def verify(
     the subject refuses, like constants under a scale-invariant
     standardization) come back "not-applicable", never an exception.
     """
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
-    try:
-        lo_req, hi_req = n_range
-    except (TypeError, ValueError):
-        raise SpecError(f"n_range must be two integers, got {n_range!r}") from None
-    lo_req, hi_req = _integer("n_range", lo_req), _integer("n_range", hi_req)
+    trials, seed = _checked("trials", int, trials), _checked("seed", int, seed)
+    n_range = _checked("n_range", tuple[int, ...], n_range)
+    if len(n_range) != 2:
+        raise SpecError(f"n_range must be two integers, got {n_range!r}")
+    lo_req, hi_req = n_range
     if trials < 1:
         raise SpecError(f"trials must be >= 1, got {trials}")
     tol = _real("tol", tol)
     if not tol >= 0.0:  # a NaN tol would pass every property
-        raise SpecError(f"tol must be >= 0, got {tol!r}")
+        raise SpecError(f"tol must be >= 0, got {_unwritable(tol) or repr(tol)}")
     tol = float(tol) if tol <= sys.float_info.max else math.inf  # an int may exceed any float
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
     if not 2 <= lo_req <= hi_req:
         raise SpecError(f"bad n_range {n_range!r}")
     kind = subject.kind
-    if properties is None:
+    props = _checked("properties", tuple[PropertyId, ...] | None, properties)
+    if props is None:
         props = applicable_properties(subject)
-    else:
-        props = tuple(properties)
-        for p in props:
-            if not isinstance(p, PropertyId):
-                raise SpecError(f"not a PropertyId: {p!r}")
     min_n, exact_n = subject.bounds
     lo = exact_n or max(lo_req, min_n)
     hi = exact_n or max(hi_req, lo)
@@ -436,7 +433,7 @@ def verify(
 def replay(subject, witness: Witness) -> float:
     """Recompute the witness violation from its stored inputs alone; inf when
     the subject raises DomainError, as `verify` records it."""
-    params = dict(witness.params)
+    params = dict(_checked("witness", Witness, witness).params)
     x = np.asarray(params.pop("x"), dtype=np.float64)
     y = np.asarray(params.pop("y"), dtype=np.float64) if "y" in params else None
     return _trial(witness.property, subject, x, y, params)[0]

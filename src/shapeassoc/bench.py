@@ -25,6 +25,7 @@ from .estimates import (
     Projection,
     Spec,
     TruncatedMean,
+    _unwritable,
 )
 from .measures import (
     DissimilaritySpec,
@@ -57,7 +58,7 @@ class FileDataset(DatasetSpec):
     has_ids: bool = False
 
     def _validate(self):
-        _check_layout(self.delimiter, self.orientation)
+        _check_layout(self.delimiter, self.orientation, self.has_ids)
 
     def load(self) -> tuple[SeriesSet, None]:
         return parse_dataset(self.path, self.delimiter, self.orientation, self.has_ids), None
@@ -329,7 +330,7 @@ def _outcome(bm: BenchmarkMeasure, data: SeriesSet, true_clusters, skip: str) ->
 
 def benchmark_spec_from_dict(d: dict) -> BenchmarkSpec:
     if not isinstance(d, dict):
-        raise SpecError(f"benchmark config must be an object, got {d!r}")
+        raise SpecError(f"benchmark config must be an object, got {_unwritable(d) or repr(d)}")
     d = dict(d)
     if "dataset" not in d:
         raise SpecError("benchmark config needs a 'dataset' entry")

@@ -18,13 +18,14 @@ merge, and refuses a merge whose sides are not exactly two current clusters.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import to_json
 from .errors import SpecError
+from .estimates import _checked, _real, _unwritable
 
 _CLAMP_TOL = 1e-9
 
@@ -38,11 +39,11 @@ class SimilarityMatrix:
 
     def __post_init__(self):
         ids = tuple(self.ids)
+        k = len(ids)
+        if isinstance(self.ids, str) or not all(isinstance(i, str) and i for i in ids) or len(set(ids)) != k:
+            raise SpecError("similarity matrix ids must be unique non-empty strings")
         object.__setattr__(self, "ids", ids)
         v = np.array(self.values, dtype=np.float64)
-        k = len(ids)
-        if not all(isinstance(i, str) and i for i in ids) or len(set(ids)) != k:
-            raise SpecError("similarity matrix ids must be unique non-empty strings")
         if v.shape != (k, k):
             raise SpecError(f"matrix shape {v.shape} does not match {k} ids")
         if not np.all(np.isfinite(v)):
@@ -81,20 +82,23 @@ class Dendrogram:
     merges: tuple[MergeStep, ...]
 
     def __post_init__(self):
-        leaves = self.leaves
+        leaves = () if isinstance(self.leaves, str) else tuple(self.leaves)  # a str is no id list
         k = len(leaves)
         if not k or not all(isinstance(i, str) and i for i in leaves) or len(set(leaves)) != k:
             raise SpecError("dendrogram leaves must be one or more unique non-empty strings")
-        if len(self.merges) != k - 1:
-            raise SpecError(f"{k} leaves need {k - 1} merges, got {len(self.merges)}")
-        levels = [m.level for m in self.merges]
+        merges = _checked("merges", tuple[MergeStep, ...], self.merges)
+        if len(merges) != k - 1:
+            raise SpecError(f"{k} leaves need {k - 1} merges, got {len(merges)}")
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "merges", merges)
+        levels = [_real(f"merge {t + 1} level", m.level) for t, m in enumerate(merges)]
         if any(b > a for a, b in zip(levels, levels[1:])):
             raise SpecError("merge levels must be non-increasing")
-        current = {frozenset([leaf]): i for i, leaf in enumerate(self.leaves)}
+        current = {frozenset([leaf]): i for i, leaf in enumerate(leaves)}
         children = []
-        for t, m in enumerate(self.merges):
-            if not math.isfinite(m.level):
-                raise SpecError(f"merge {t + 1} has a non-finite level {m.level!r}")
+        for t, m in enumerate(merges):
+            if not abs(m.level) <= sys.float_info.max:  # nan, inf or an int beyond float64
+                raise SpecError(f"merge {t + 1} has a non-finite level {_unwritable(m.level) or repr(m.level)}")
             left, right = frozenset(m.left), frozenset(m.right)
             pair = current.pop(left, None), current.pop(right, None)
             if None in pair or len(left) + len(right) != len(m.left) + len(m.right):
@@ -200,7 +204,7 @@ def single_linkage(matrix: SimilarityMatrix) -> Dendrogram:
 
 def contains_cluster(tree: Dendrogram, cluster) -> bool:
     """True when the exact leaf set appears as a node of the tree."""
-    wanted = frozenset(cluster)
+    wanted = frozenset(_checked("cluster", tuple[str, ...], cluster))
     if not wanted:
         raise SpecError("cluster must not be empty")
     missing = wanted - set(tree.leaves)
@@ -218,7 +222,7 @@ def cut(tree: Dendrogram, k: int) -> tuple[tuple[str, ...], ...]:
     of a member, members in leaf order.
     """
     total = len(tree.leaves)
-    if not 1 <= k <= total:
+    if not 1 <= (k := _checked("k", int, k)) <= total:
         raise SpecError(f"cut size must be in 1..{total}, got {k}")
     top = list(range(2 * total - k))  # node -> the highest kept node above it
     for node in reversed(range(total, len(top))):

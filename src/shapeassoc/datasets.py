@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError, ShapeError, SpecError
+from .estimates import _checked
 from .series import SeriesSet, load_set
 
 _DELIMITERS = {"comma": ",", "tab": "\t", "whitespace": None}
@@ -86,10 +87,11 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def _check_layout(delimiter: str, orientation: str) -> None:
-    if delimiter not in _DELIMITERS:
+def _check_layout(delimiter: str, orientation: str, has_ids: bool) -> None:
+    _checked("has_ids", bool, has_ids)
+    if _checked("delimiter", str, delimiter) not in _DELIMITERS:
         raise SpecError(f"unknown delimiter {delimiter!r}; expected one of {sorted(_DELIMITERS)}")
-    if orientation not in _ORIENTATIONS:
+    if _checked("orientation", str, orientation) not in _ORIENTATIONS:
         raise SpecError(f"unknown orientation {orientation!r}; expected one of {_ORIENTATIONS}")
 
 
@@ -109,7 +111,7 @@ def parse_dataset_text(
     line) rows when there are fewer lines than fields: series are usually
     longer than the collection is wide.
     """
-    _check_layout(delimiter, orientation)
+    _check_layout(delimiter, orientation, has_ids)
     sep = _DELIMITERS[delimiter]
     rows = _rows(text, sep, source)
     width = _width(rows[0][1], sep)

@@ -44,13 +44,6 @@ def _set_bounds(spec, lo: int, exact: int | None = None) -> None:
     object.__setattr__(spec, "bounds", (max(2, lo), exact))
 
 
-def _integer(name: str, value) -> int:
-    # a bool or float is no index; int() makes a numpy integer JSON-writable
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SpecError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _unwritable(value) -> str:
     """For an int too long for `repr`, `str` and `json`, "an integer of N digits"; else "".
     They write at most `sys.get_int_max_str_digits()` digits; before Python 3.10.7, any number."""
@@ -72,9 +65,9 @@ def _real(name: str, value) -> int | float:
 def _checked(what: str, kind, value):
     """`value` as a field of type `kind` holds it, or SpecError "`what` must be ...".
 
-    An int goes through `_integer`; a float `_real`, is checked finite (no nan, inf or int
-    beyond float64) and stored as a Python float; a bool also takes a numpy bool; `X | None`
-    None or an X; `tuple[X, ...]` any iterable of X's but a str or a dict; a family an instance."""
+    For spec fields and public functions' arguments: an int also takes a numpy integer; a
+    float `_real`, finite, stored as a float; a bool a numpy bool; `X | None` None or an X;
+    `tuple[X, ...]` any iterable of X's but a str or a dict; a family an instance."""
     if shown := _unwritable(value):  # first: an int no refusal below could write
         raise SpecError(f"{what} must have at most {sys.get_int_max_str_digits()} digits, got {shown}")
     if kind is float:  # before the shortcut below, which a float nan would pass
@@ -84,8 +77,10 @@ def _checked(what: str, kind, value):
         return float(value)
     if type(value) is kind:  # already as the field holds it
         return value
-    if kind is int:
-        return _integer(what, value)
+    if kind is int:  # a bool or float is no index; int() makes a numpy integer JSON-writable
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise SpecError(f"{what} must be an integer, got {value!r}")
+        return int(value)
     if kind is bool or kind is str:
         if not isinstance(value, (bool, np.bool_) if kind is bool else str):
             raise SpecError(f"{what} must be a {'boolean' if kind is bool else 'string'}, got {value!r}")

@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, LengthError, ShapeError, SpecError
+from .estimates import _checked
 
 
 def _as_values(values) -> np.ndarray:
@@ -54,7 +55,7 @@ class TimeSeries:
 
 def constant_series(value: float, n: int, id: str = "const") -> TimeSeries:
     """Series of n copies of value."""
-    if n < 2:
+    if (n := _checked("n", int, n)) < 2:
         raise LengthError(f"series needs at least 2 samples, got {n}")
     return TimeSeries(id, np.full(n, float(value)))
 
@@ -129,10 +130,7 @@ def load_set(rows: Iterable[Sequence[float]], ids: Sequence[str] | None = None) 
     Ids default to "s1", "s2", ... in input order.
     """
     rows = list(rows)
-    if ids is None:
-        ids = [f"s{i + 1}" for i in range(len(rows))]
-    else:
-        ids = list(ids)
-        if len(ids) != len(rows):
-            raise ShapeError(f"got {len(ids)} ids for {len(rows)} rows")
+    ids = [f"s{i + 1}" for i in range(len(rows))] if ids is None else _checked("ids", tuple[str, ...], ids)
+    if len(ids) != len(rows):
+        raise ShapeError(f"got {len(ids)} ids for {len(rows)} rows")
     return SeriesSet(tuple(TimeSeries(i, r) for i, r in zip(ids, rows)))

@@ -30,6 +30,7 @@ from .estimates import (
     MinkowskiDeviation,
     ScaleEstimate,
     Spec,
+    _checked,
     central_values,
     finite_scale,
     minkowski_norm,
@@ -160,8 +161,10 @@ def preset(name: str, r: float = 2.0, k: int = 0, m: int = 2) -> Standardization
     - "unit-mean":       CenterScale(AM, MinkowskiDeviation(r, AM))
     - "unit-gmidrange":  CenterScale(GMDR(k, m), MinkowskiDeviation(r, same))
 
-    A parameter the named preset does not read must keep its default.
+    Arguments follow the spec field rule; one the preset does not read must keep its default.
     """
+    name, r = _checked("name", str, name), _checked("r", float, r)
+    k, m = _checked("k", int, k), _checked("m", int, m)
     unread = {"center-mean": "rkm", "center-min": "rkm", "unit-mean": "km"}.get(name, "")
     for key, value, default in (("r", r, 2.0), ("k", k, 0), ("m", m, 2)):
         if key in unread and value != default:
