@@ -45,6 +45,7 @@ _DISSIM = "dissimilarity"
 _ALL = (_ASSOC, _SIM, _DISSIM)
 # the value interval of each kind; a normal dissimilarity narrows its own to (0, 2)
 _LIMITS = {_ASSOC: (-1.0, 1.0), _SIM: (0.0, 1.0), _DISSIM: (0.0, math.inf)}
+_MAX_N = np.iinfo(np.intp).max // 8  # the most float64 values a numpy array can hold
 
 _SCALE_CHOICES = (1e-3, 0.5, 2.0, 1e3)
 _AFFINE_SLOPES = (-3.0, -1.0, 0.5, 2.0)
@@ -201,6 +202,8 @@ class Probe:
             object.__setattr__(self, name, _checked(name, kind, getattr(self, name)))
         if self.kind not in _ALL:
             raise SpecError(f"unknown subject kind {self.kind!r}")
+        if not callable(self.fn):
+            raise SpecError(f"fn must be callable, got {_unwritable(self.fn) or repr(self.fn)}")
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         value = self.fn(vx, vy)
@@ -367,9 +370,10 @@ def verify(
 
     By the spec field rule, `seed`, `trials` and both ends of `n_range` are
     integers and `properties` PropertyIds; `tol` is a real number (a bool is
-    neither). The arrays a subject is called with
-    are read-only, because other subjects share them: a subject that writes
-    into one raises numpy's ValueError, which `verify` does not catch.
+    neither), and no `n_range` end exceeds the float64 values an array can
+    hold. The arrays a subject is called with are read-only, because other
+    subjects share them: a subject that writes into one raises numpy's
+    ValueError, which `verify` does not catch.
 
     Properties that do not apply to the subject's kind (or that need inputs
     the subject refuses, like constants under a scale-invariant
@@ -388,8 +392,8 @@ def verify(
     tol = float(tol) if tol <= sys.float_info.max else math.inf  # an int may exceed any float
     if seed < 0:
         raise SpecError(f"seed must be >= 0, got {seed}")
-    if not 2 <= lo_req <= hi_req:
-        raise SpecError(f"bad n_range {n_range!r}")
+    if not 2 <= lo_req <= hi_req <= _MAX_N:
+        raise SpecError(f"bad n_range {n_range!r}; it needs 2 <= start <= end <= {_MAX_N}")
     kind = subject.kind
     props = _checked("properties", tuple[PropertyId, ...] | None, properties)
     if props is None:

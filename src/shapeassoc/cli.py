@@ -19,11 +19,12 @@ from .bench import benchmark_spec_from_dict, default_synthetic_spec, run_benchma
 from .cluster import SimilarityMatrix, single_linkage
 from .config import MEASURE_SHORTHANDS, from_dict
 from .datasets import (
+    _DELIMITERS,
+    _ORIENTATIONS,
     format_matrix_csv,
     format_series_csv,
     parse_dataset,
     read_matrix_csv,
-    write_text,
 )
 from .errors import ShapeAssocError, SpecError
 from .measures import MeasureSpec, associate, association_matrix
@@ -35,7 +36,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, or too deep
         raise ShapeAssocError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -49,8 +50,8 @@ def _spec_from_arg(arg: str, family):
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="dataset file")
-    p.add_argument("--delimiter", default="whitespace", choices=("comma", "tab", "whitespace"))
-    p.add_argument("--orientation", default="auto", choices=("rows", "columns", "auto"))
+    p.add_argument("--delimiter", default="whitespace", choices=_DELIMITERS)
+    p.add_argument("--orientation", default="auto", choices=_ORIENTATIONS)
     p.add_argument("--ids", action="store_true", help="dataset carries series ids")
 
 
@@ -62,7 +63,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        write_text(output, text)
+        Path(output).write_text(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_path", default=None, help="also write the JSON report here")
 
     p = sub.add_parser("bench", help="clustering benchmark against known clusters")
-    p.add_argument("--config", default=None, help="benchmark JSON config")
-    p.add_argument("--synthetic", action="store_true", help="run the default synthetic benchmark")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", default=None, help="benchmark JSON config")
+    source.add_argument("--synthetic", action="store_true", help="run the default synthetic benchmark")
     p.add_argument("--seed", type=int, default=0, help="seed for --synthetic")
     p.add_argument("--json", dest="json_path", default=None)
     p.add_argument("--output", default=None, help="text report file (default stdout)")
@@ -186,21 +188,16 @@ def _cmd_axioms(args) -> int:
     )
     sys.stdout.write(report.to_text())
     if args.json_path:
-        write_text(args.json_path, report.to_json() + "\n")
+        _emit(report.to_json() + "\n", args.json_path)
     return 0 if report.passed() else 2
 
 
 def _cmd_bench(args) -> int:
-    if bool(args.config) == bool(args.synthetic):
-        raise ShapeAssocError("pass exactly one of --config or --synthetic")
-    if args.synthetic:
-        spec = default_synthetic_spec(args.seed)
-    else:
-        spec = benchmark_spec_from_dict(_load_json(args.config))
+    spec = default_synthetic_spec(args.seed) if args.synthetic else benchmark_spec_from_dict(_load_json(args.config))
     report = run_benchmark(spec)
     _emit(report.to_text(), args.output)
     if args.json_path:
-        write_text(args.json_path, report.to_json() + "\n")
+        _emit(report.to_json() + "\n", args.json_path)
     return 0 if report.passed() else 2
 
 
@@ -225,8 +222,8 @@ def main(argv=None) -> int:
         # non-finite result already raises an error that names its cause
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
-    except (ShapeAssocError, ValueError, OSError) as exc:
-        sys.stderr.write(f"shapeassoc: error: {exc}\n")
+    except (ShapeAssocError, ValueError, OSError, MemoryError) as exc:  # MemoryError: numpy could not allocate
+        sys.stderr.write(f"shapeassoc: error: {str(exc) or type(exc).__name__}\n")
         return 1
 
 

@@ -30,6 +30,16 @@ from .estimates import _checked, _real, _unwritable
 _CLAMP_TOL = 1e-9
 
 
+def _ids(value, least: int, message: str) -> tuple[str, ...]:
+    """`value` as at least `least` unique non-empty strings, else SpecError(message).
+    A str or a non-iterable is no id list."""
+    ids = tuple(value) if hasattr(value, "__iter__") and not isinstance(value, str) else None
+    strings = ids is not None and all(isinstance(i, str) and i for i in ids)
+    if not strings or len(ids) < least or len(set(ids)) != len(ids):
+        raise SpecError(message)
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
     """Symmetric matrix with unit diagonal and entries in [0, 1]."""
@@ -38,11 +48,8 @@ class SimilarityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(self.ids)
-        k = len(ids)
-        if isinstance(self.ids, str) or not all(isinstance(i, str) and i for i in ids) or len(set(ids)) != k:
-            raise SpecError("similarity matrix ids must be unique non-empty strings")
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ids", _ids(self.ids, 0, "similarity matrix ids must be unique non-empty strings"))
+        k = len(self.ids)
         v = np.array(self.values, dtype=np.float64)
         if v.shape != (k, k):
             raise SpecError(f"matrix shape {v.shape} does not match {k} ids")
@@ -62,7 +69,7 @@ class SimilarityMatrix:
     @classmethod
     def from_association(cls, ids, values) -> "SimilarityMatrix":
         """Absolute association |A| as the clustering similarity."""
-        return cls(tuple(ids), np.abs(np.asarray(values, dtype=np.float64)))
+        return cls(ids, np.abs(np.asarray(values, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -82,10 +89,8 @@ class Dendrogram:
     merges: tuple[MergeStep, ...]
 
     def __post_init__(self):
-        leaves = () if isinstance(self.leaves, str) else tuple(self.leaves)  # a str is no id list
+        leaves = _ids(self.leaves, 1, "dendrogram leaves must be one or more unique non-empty strings")
         k = len(leaves)
-        if not k or not all(isinstance(i, str) and i for i in leaves) or len(set(leaves)) != k:
-            raise SpecError("dendrogram leaves must be one or more unique non-empty strings")
         merges = _checked("merges", tuple[MergeStep, ...], self.merges)
         if len(merges) != k - 1:
             raise SpecError(f"{k} leaves need {k - 1} merges, got {len(merges)}")

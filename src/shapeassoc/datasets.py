@@ -53,21 +53,19 @@ def _quote(token: str) -> str:
 
 def _floats(rows: list[tuple[int, str]], first: int, sep: str | None, source: str) -> np.ndarray:
     """Fields `first` (1-based) onward of each row as a float64 matrix, parsed
-    one line at a time; a field that is not a finite number is an error naming
-    its line and field, and a delimiter that would split it."""
+    one line at a time; the first field that is not a finite number is an error
+    naming its line and field, and a delimiter that would split it."""
     data = np.empty((len(rows), _width(rows[0][1], sep) - first + 1))
-    try:
-        for i, (_, raw) in enumerate(rows):
+    for i, (ln, raw) in enumerate(rows):
+        try:
             # float() ignores the outer whitespace strip() removes, but for
             # \x1c-\x1f, at which splitlines() ends a line
             data[i] = np.fromiter(map(float, raw.split(sep)[first - 1 :]), np.float64)
-    except ValueError:
-        pass
-    else:
-        if np.isfinite(data).all():
-            return data
-    for ln, raw in rows:  # name the first bad field
-        for col, token in enumerate(_fields(raw, sep)[first - 1 :], start=first):
+            if np.isfinite(data[i]).all():
+                continue
+        except ValueError:
+            pass
+        for col, token in enumerate(_fields(raw, sep)[first - 1 :], start=first):  # name the bad field
             try:
                 bad = "" if math.isfinite(float(token)) else f"non-finite value {_quote(token)}"
             except ValueError:
@@ -78,6 +76,7 @@ def _floats(rows: list[tuple[int, str]], first: int, sep: str | None, source: st
                     bad += f"; delimiter {split_by[0]!r} would split it"
             if bad:
                 raise DatasetError(f"{source}: line {ln}, field {col}: {bad}")
+    return data
 
 
 def _is_number(token: str) -> bool:
@@ -207,6 +206,3 @@ def read_matrix_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     p = Path(path)
     return parse_matrix_csv_text(p.read_text(), source=str(p))
 
-
-def write_text(path, text: str) -> None:
-    Path(path).write_text(text)

@@ -82,17 +82,14 @@ class SeriesSet:
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "series", tuple(self.series))
         if not self.series:
             raise SpecError("series set must not be empty")
-        object.__setattr__(self, "series", tuple(self.series))
-        n = self.series[0].n
-        for s in self.series:
-            if s.n != n:
-                raise ShapeError(
-                    f"series {s.id!r} has length {s.n}, expected {n} like {self.series[0].id!r}"
-                )
+        first = self.series[0]
         index: dict[str, int] = {}
-        for i, s in enumerate(self.series):
+        for i, s in enumerate(self.series):  # the first member at fault is named
+            if s.n != first.n:
+                raise ShapeError(f"series {s.id!r} has length {s.n}, expected {first.n} like {first.id!r}")
             if s.id in index:
                 raise SpecError(f"duplicate series id {s.id!r}")
             index[s.id] = i

@@ -1,7 +1,8 @@
 """Public functions read their raw arguments with the spec field rule.
 
 Each call below passes one misfit: an int too long to write, a float where an
-int is expected, a bool, or a str where a sequence is expected. Each raises
+int is expected, a bool, a str or an int where a sequence is expected, an int
+where a callable is expected, or a length no array can have. Each raises
 SpecError, whose message starts with the argument's name or is the function's
 own refusal, never a bare ValueError, TypeError or AttributeError, and never
 builds.
@@ -61,6 +62,17 @@ _MISFITS = [
     ("verify-n_range-huge", lambda: verify(Pearson(), _SYM, trials=5, n_range=(3, _HUGE)), f"n_range {_LONG}"),
     ("verify-n_range-bool", lambda: verify(Pearson(), _SYM, n_range=True), "n_range must be a tuple, got True"),
     ("verify-n_range-str", lambda: verify(Pearson(), _SYM, n_range="ab"), "n_range must be a tuple, got 'ab'"),
+    # numpy draws no length past int64, and no array holds more than intp max // 8 float64 values
+    (
+        "verify-n_range-past-int64",
+        lambda: verify(Pearson(), _SYM, trials=5, n_range=(3, 2**63)),
+        f"bad n_range (3, {2**63}); it needs 2 <= start <= end <= {2**60 - 1}",
+    ),
+    (
+        "verify-n_range-past-arrays",
+        lambda: verify(Pearson(), _SYM, trials=5, n_range=(3, 2**62)),
+        f"bad n_range (3, {2**62}); it needs 2 <= start <= end <= {2**60 - 1}",
+    ),
     ("verify-tol-huge", lambda: verify(Pearson(), _SYM, tol=-_HUGE), "tol must be >= 0, got an integer of 5001 digits"),
     ("verify-properties-huge", lambda: verify(Pearson(), _HUGE, trials=5), f"properties {_LONG}"),
     ("verify-properties-bool", lambda: verify(Pearson(), True, trials=5), "properties must be a tuple, got True"),
@@ -69,6 +81,8 @@ _MISFITS = [
     ("probe-kind-huge", lambda: _probe(kind=_HUGE), f"kind {_LONG}"),
     ("probe-name-float", lambda: _probe(name=2.0), "name must be a string, got 2.0"),
     ("probe-name-bool", lambda: _probe(name=True), "name must be a string, got True"),
+    ("probe-fn-int", lambda: _probe(fn=5), "fn must be callable, got 5"),
+    ("probe-fn-huge", lambda: _probe(fn=_HUGE), "fn must be callable, got an integer of 5001 digits"),
     ("replay-witness-huge", lambda: replay(Pearson(), _HUGE), f"witness {_LONG}"),
     ("replay-witness-float", lambda: replay(Pearson(), 1.5), "witness must be a Witness, got float"),
     ("replay-witness-bool", lambda: replay(Pearson(), True), "witness must be a Witness, got bool"),
@@ -97,7 +111,9 @@ _MISFITS = [
     ("load_set-ids-bool", lambda: load_set(_ROWS, ids=True), "ids must be a tuple, got True"),
     ("load_set-ids-str", lambda: load_set(_ROWS, ids="ab"), "ids must be a tuple, got 'ab'"),
     ("matrix-ids-str", lambda: SimilarityMatrix("ab", np.eye(2)), _MATRIX_IDS),
+    ("matrix-ids-int", lambda: SimilarityMatrix(5, np.eye(2)), _MATRIX_IDS),
     ("dendrogram-leaves-str", lambda: Dendrogram("ab", (MergeStep(("a",), ("b",), 0.5),)), _LEAVES),
+    ("dendrogram-leaves-int", lambda: Dendrogram(5, ()), _LEAVES),
     ("dendrogram-merges-huge", lambda: Dendrogram(("a", "b"), _HUGE), f"merges {_LONG}"),
     ("dendrogram-merges-int", lambda: Dendrogram(("a", "b"), (5,)), "merges must be a MergeStep, got int"),
     ("dendrogram-merges-str", lambda: Dendrogram(("a", "b"), "ab"), "merges must be a tuple, got 'ab'"),

@@ -108,7 +108,8 @@ class TestSubjectProtocol:
             (D2_UNIT, "dissimilarity", 2.0),
             (d2_center, "dissimilarity", None),
         ]
-        subjects += [(Probe(kind, None, "p"), kind, None) for kind in _KINDS]
+        # only the probes' limits are read: their fn is never called
+        subjects += [(Probe(kind, lambda vx, vy: 0.0, "p"), kind, None) for kind in _KINDS]
         points = (-1.0, -0.0, 0.0, 1.0, 2.0)
         values = list(points) + [math.nextafter(p, to) for p in points for to in (-1e9, 1e9)]
         values += np.random.default_rng(71).uniform(-3.0, 3.0, 300).tolist()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from shapeassoc import PropertyId
-from shapeassoc.cli import main
+from shapeassoc import PropertyId, axioms, datasets
+from shapeassoc.cli import build_parser, main
 
 
 @pytest.fixture
@@ -535,6 +536,56 @@ class TestUsageErrors:
         code = run("matrix", "--input", str(p), "--delimiter", "comma", "--measure", "pearson")
         assert code == 1
         assert "cannot parse" in capsys.readouterr().err
+
+
+def _raise(error):
+    def fn(*args, **kwargs):
+        raise error
+
+    return fn
+
+
+_ALLOCATE = "Unable to allocate 475. GiB for an array with shape (63713179400,) and data type float64"
+
+
+class TestNoTraceback:
+    """Input that used to end in a traceback exits 1 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, patched, message",
+        [
+            (
+                ("matrix", "--input", "{dataset}", "--delimiter", "comma", "--ids", "--measure", "{deep}"),
+                None,
+                "{deep}: invalid JSON: maximum recursion depth exceeded",
+            ),
+            (("bench", "--config", "{deep}"), None, "{deep}: invalid JSON: maximum recursion depth exceeded"),
+            # a length no memory holds: numpy raises its MemoryError subclass before allocating
+            (("axioms", "--measure", "pearson", "--trials", "1"), MemoryError(_ALLOCATE), _ALLOCATE),
+            (("axioms", "--measure", "pearson", "--trials", "1"), MemoryError(), "MemoryError"),
+            (("bench",), None, "one of the arguments --config --synthetic is required"),
+            (("bench", "--synthetic", "--config", "x.json"), None, "argument --config: not allowed with"),
+        ],
+        ids=["matrix-deep-json", "bench-deep-json", "memory", "memory-no-message", "bench-no-source", "bench-two-sources"],
+    )
+    def test_one_error_line(self, dataset, tmp_path, monkeypatch, capsys, argv, patched, message):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        if patched is not None:
+            monkeypatch.setattr(axioms, "verify", _raise(patched))
+        code = run(*(a.format(dataset=dataset, deep=deep) for a in argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "error: " + message.format(deep=deep) in captured.err
+
+
+def test_layout_choices_are_the_readers():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for name in ("standardize", "assoc", "matrix"):
+        options = {a.dest: a.choices for a in commands[name]._actions}
+        assert list(options["delimiter"]) == list(datasets._DELIMITERS)
+        assert list(options["orientation"]) == list(datasets._ORIENTATIONS)
 
 
 class TestModuleEntryPoint:

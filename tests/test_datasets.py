@@ -21,7 +21,6 @@ from shapeassoc.datasets import (
     format_series_csv,
     parse_matrix_csv_text,
     read_matrix_csv,
-    write_text,
 )
 
 from helpers import random_values
@@ -218,7 +217,7 @@ class TestMatrixCsv:
         data = load_set([random_values(rng, 8) for _ in range(3)])
         m = association_matrix(Pearson(), data)
         path = tmp_path / "matrix.csv"
-        write_text(path, format_matrix_csv(m.ids, m.values))
+        path.write_text(format_matrix_csv(m.ids, m.values))
         ids, values = read_matrix_csv(path)
         assert ids == m.ids
         assert np.array_equal(values, m.values)

@@ -736,6 +736,13 @@ class TestAssociate:
             with pytest.raises(ConstantSeriesError):
                 associate(spec, x, c)
 
+    def test_a_zero_centered_vector_is_a_constant_series_error(self):
+        # `associate` refuses a constant series first; `evaluate` reaches the cosine's own check
+        v = np.array([1.0, 2.0, 4.0])
+        for x, y in ((v, np.full(3, 3.0)), (np.full(3, 3.0), v)):
+            with pytest.raises(ConstantSeriesError, match="^cosine is undefined when a standardized series is zero$"):
+                Pearson().evaluate(x, y)
+
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             associate(Pearson(), ts([1, 2, 3]), ts([1, 2], "y"))

@@ -34,6 +34,9 @@ class TestTimeSeries:
         assert len(x) == 3
         assert x.n == 3
 
+    def test_repr_shows_id_and_length(self):
+        assert repr(ts([1, 2, 3], "a")) == "TimeSeries(id='a', n=3)"
+
     def test_rejects_short_series(self):
         with pytest.raises(LengthError):
             ts([1.0])
@@ -116,6 +119,23 @@ class TestSeriesSet:
         with pytest.raises(SpecError):
             SeriesSet((ts([1, 2], "a"), ts([3, 4], "a")))
 
+    @pytest.mark.parametrize(
+        "members, error, message",
+        [
+            ((([1, 2], "a"), ([3, 4], "a"), ([5, 6, 7], "b")), SpecError, "duplicate series id 'a'"),
+            (
+                (([1, 2], "a"), ([3, 4, 5], "b"), ([6, 7], "a")),
+                ShapeError,
+                "series 'b' has length 3, expected 2 like 'a'",
+            ),
+        ],
+        ids=["duplicate-first", "length-first"],
+    )
+    def test_the_first_member_at_fault_is_named(self, members, error, message):
+        with pytest.raises(error) as exc:
+            SeriesSet(tuple(ts(values, id) for values, id in members))
+        assert str(exc.value) == message
+
     def test_lookup_by_index_and_id(self):
         s = load_set([(1, 2), (3, 4)])
         assert s[0] is s["s1"]
@@ -155,6 +175,7 @@ def test_is_constant_values_matches_the_full_comparison(values):
     [
         (lambda: TimeSeries("", [1.0, 2.0]), SpecError, "series id must be a non-empty string"),
         (lambda: TimeSeries(5, [1.0, 2.0]), SpecError, "series id must be a non-empty string"),
+        (lambda: SeriesSet(s for s in ()), SpecError, "series set must not be empty"),
         (lambda: load_set([(1, 2), (3, 4)], ids=["a"]), ShapeError, "got 1 ids for 2 rows"),
         (lambda: load_set([(1, 2)], ids=["a", "b"]), ShapeError, "got 2 ids for 1 rows"),
     ],
