@@ -33,7 +33,7 @@ from shapeassoc import (
 )
 from shapeassoc.config import plain, to_json
 from axiom_cases import coverage_suite
-from test_cluster import from_upper, random_matrix
+from test_cluster import HAND_BUILT, from_upper, random_matrix
 
 
 def _float(v: float):
@@ -145,6 +145,40 @@ def test_dendrograms_match_the_reference():
             assert tree.to_json() == _expected(reference_dendrogram, tree)
     tree = single_linkage(random_matrix(np.random.default_rng(61), 20))
     assert tree.to_json() == _expected(reference_dendrogram, tree)
+    for tree, (merges, text, newick) in zip(HAND_BUILT, _HAND_BUILT_BYTES, strict=True):
+        assert tuple((m.left, m.right, m.level) for m in tree.merges) == merges
+        assert (tree.to_text(), tree.to_newick()) == (text, newick)
+        assert tree.to_json() == _expected(reference_dendrogram, tree)
+
+
+# The merges, text and Newick of each tree in HAND_BUILT, as the sides were given.
+_HAND_BUILT_BYTES = (
+    ((), "leaves: a\n", "a;"),
+    (
+        ((("c",), ("d",), 0.9), (("b",), ("a",), 0.8), (("c", "d"), ("b", "a"), 0.1)),
+        "leaves: a, b, c, d\nmerge 1: {c} + {d} at 0.9\nmerge 2: {b} + {a} at 0.8\n"
+        "merge 3: {c, d} + {b, a} at 0.1\n",
+        "((c:0.1,d:0.1):0.9,(b:0.2,a:0.2):0.9);",
+    ),
+    (
+        (
+            (("e",), ("a",), 0.7),
+            (("d",), ("e", "a"), 0.7),
+            (("c",), ("b",), 0.5),
+            (("c", "b"), ("a", "d", "e"), 0.5),
+        ),
+        "leaves: a, b, c, d, e\nmerge 1: {e} + {a} at 0.7\nmerge 2: {d} + {e, a} at 0.7\n"
+        "merge 3: {c} + {b} at 0.5\nmerge 4: {c, b} + {a, d, e} at 0.5\n",
+        "((c:0.5,b:0.5):0.5,(d:0.3,(e:0.3,a:0.3):0.3):0.5);",
+    ),
+    (
+        tuple((tuple(f"o{i}" for i in range(t + 1)), (f"o{t + 1}",), 1.0 - t / 6) for t in range(5)),
+        "leaves: o0, o1, o2, o3, o4, o5\nmerge 1: {o0} + {o1} at 1.0\n"
+        "merge 2: {o0, o1} + {o2} at 0.8333333333333334\nmerge 3: {o0, o1, o2} + {o3} at 0.6666666666666667\n"
+        "merge 4: {o0, o1, o2, o3} + {o4} at 0.5\nmerge 5: {o0, o1, o2, o3, o4} + {o5} at 0.33333333333333337\n",
+        "(((((o0:0,o1:0):0.166667,o2:0.166667):0.333333,o3:0.333333):0.5,o4:0.5):0.666667,o5:0.666667);",
+    ),
+)
 
 
 class _Color(enum.Enum):
