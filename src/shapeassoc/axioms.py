@@ -370,10 +370,10 @@ def verify(
 
     By the spec field rule, `seed`, `trials` and both ends of `n_range` are
     integers and `properties` PropertyIds; `tol` is a real number (a bool is
-    neither), and no `n_range` end exceeds the float64 values an array can
-    hold. The arrays a subject is called with are read-only, because other
-    subjects share them: a subject that writes into one raises numpy's
-    ValueError, which `verify` does not catch.
+    neither). No `n_range` end, nor the subject's least length, exceeds the
+    float64 values an array can hold. The arrays a subject is called with
+    are read-only, because other subjects share them: a subject that writes
+    into one raises numpy's ValueError, which `verify` does not catch.
 
     Properties that do not apply to the subject's kind (or that need inputs
     the subject refuses, like constants under a scale-invariant
@@ -399,7 +399,8 @@ def verify(
     if props is None:
         props = applicable_properties(subject)
     min_n, exact_n = subject.bounds
-    lo = exact_n or max(lo_req, min_n)
+    if (lo := exact_n or max(lo_req, min_n)) > _MAX_N:
+        raise SpecError(f"the subject's least length {lo} is past {_MAX_N}, the most values an array holds")
     hi = exact_n or max(hi_req, lo)
 
     def check(prop: PropertyId) -> PropertyResult:

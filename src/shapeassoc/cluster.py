@@ -8,22 +8,23 @@ Ties go to the pair with the smallest (row, column) position.
 
 `single_linkage` runs in O(k^2) time: the merge levels are the edge weights
 of the maximum spanning tree (Gower & Ross 1969), built by Prim's algorithm
-with one numpy row update per object and replayed in merge order.
+with one numpy row update per object and sorted into merge order.
 
-A `Dendrogram` numbers its nodes as scipy's linkage matrix does (Müllner
-2011): leaf i is node i, and merge t creates node k + t from two earlier
-nodes, each joined once. Construction derives the two child nodes of every
-merge, and refuses a merge whose sides are not exactly two current clusters.
+A `Dendrogram` holds its k - 1 tree edges (i, j, level) in merge order, i and
+j leaf positions on the two sides, and the child table one union-find pass
+derives from them, numbered as in scipy (Müllner 2011): leaf i is node i, and
+merge t joins two earlier nodes into k + t. `merges` is built only when read.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import to_json
+from .config import plain, to_json
 from .errors import SpecError
 from .estimates import _checked, _real, _unwritable
 
@@ -81,39 +82,57 @@ class MergeStep:
     level: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Dendrogram:
-    """Full merge history over a fixed leaf order, nodes numbered as in scipy."""
+    """Full merge history over a fixed leaf order, held as spanning-tree edges."""
 
     leaves: tuple[str, ...]
-    merges: tuple[MergeStep, ...]
+    edges: tuple[tuple[int, int, float], ...]
 
-    def __post_init__(self):
-        leaves = _ids(self.leaves, 1, "dendrogram leaves must be one or more unique non-empty strings")
-        k = len(leaves)
-        merges = _checked("merges", tuple[MergeStep, ...], self.merges)
-        if len(merges) != k - 1:
-            raise SpecError(f"{k} leaves need {k - 1} merges, got {len(merges)}")
-        object.__setattr__(self, "leaves", leaves)
-        object.__setattr__(self, "merges", merges)
+    def __init__(self, leaves, merges):
+        leaves = _ids(leaves, 1, "dendrogram leaves must be one or more unique non-empty strings")
+        merges = _checked("merges", tuple[MergeStep, ...], merges)
+        if len(merges) != len(leaves) - 1:
+            raise SpecError(f"{len(leaves)} leaves need {len(leaves) - 1} merges, got {len(merges)}")
         levels = [_real(f"merge {t + 1} level", m.level) for t, m in enumerate(merges)]
         if any(b > a for a, b in zip(levels, levels[1:])):
             raise SpecError("merge levels must be non-increasing")
-        current = {frozenset([leaf]): i for i, leaf in enumerate(leaves)}
-        children = []
+        position = {leaf: i for i, leaf in enumerate(leaves)}
+        current = {frozenset([leaf]) for leaf in leaves}
+        edges = []
         for t, m in enumerate(merges):
             if not abs(m.level) <= sys.float_info.max:  # nan, inf or an int beyond float64
                 raise SpecError(f"merge {t + 1} has a non-finite level {_unwritable(m.level) or repr(m.level)}")
             left, right = frozenset(m.left), frozenset(m.right)
-            pair = current.pop(left, None), current.pop(right, None)
-            if None in pair or len(left) + len(right) != len(m.left) + len(m.right):
+            if not {left, right} <= current or len(left | right) != len(m.left) + len(m.right):
                 raise SpecError(f"merge {t + 1} does not join two current clusters")
-            current[left | right] = k + t
-            children.append(pair)
-        object.__setattr__(self, "_children", tuple(children))
+            current ^= {left, right, left | right}  # the two sides leave, their union joins
+            edges.append((position[m.left[0]], position[m.right[0]], m.level))
+        self.__dict__.update(vars(Dendrogram._from_edges(leaves, tuple(edges))), merges=merges)
+
+    @classmethod
+    def _from_edges(cls, leaves: tuple[str, ...], edges: tuple) -> Dendrogram:
+        """The tree of valid edges in merge order, with each merge's two child nodes."""
+        parent, children = list(range(2 * len(leaves) - 1)), []  # node -> the node it joined, or itself
+        for node, (i, j, _) in enumerate(edges, len(leaves)):
+            a, b = _root(parent, i), _root(parent, j)
+            parent[a] = parent[b] = node
+            children.append((a, b))
+        (tree := cls.__new__(cls)).__dict__.update(leaves=leaves, edges=edges, _children=tuple(children))
+        return tree
+
+    @functools.cached_property
+    def merges(self) -> tuple[MergeStep, ...]:
+        """Each merge's two sides, members in leaf order, and its level."""
+        ids, members, merges = self.leaves, {i: [i] for i in range(len(self.leaves))}, []
+        for node, ((a, b), (_, _, level)) in enumerate(zip(self._children, self.edges), len(ids)):
+            left, right = members.pop(a), members.pop(b)
+            merges.append(MergeStep(tuple(ids[q] for q in left), tuple(ids[q] for q in right), level))
+            members[node] = sorted(left + right)
+        return tuple(merges)
 
     def levels(self) -> tuple[float, ...]:
-        return tuple(m.level for m in self.merges)
+        return tuple(level for _, _, level in self.edges)
 
     def nodes(self) -> tuple[frozenset, ...]:
         """Every cluster the tree contains, by node: leaf i, then merge t at k + t."""
@@ -122,16 +141,16 @@ class Dendrogram:
             out.append(out[a] | out[b])
         return tuple(out)
 
+    def to_dict(self) -> dict:
+        return plain({"leaves": self.leaves, "merges": self.merges})
+
     def to_json(self) -> str:
         return to_json(self)
 
     def to_text(self) -> str:
         lines = [f"leaves: {', '.join(self.leaves)}"]
-        for i, m in enumerate(self.merges):
-            lines.append(
-                f"merge {i + 1}: {{{', '.join(m.left)}}} + {{{', '.join(m.right)}}} "
-                f"at {m.level!r}"
-            )
+        for t, m in enumerate(self.merges, 1):
+            lines.append(f"merge {t}: {{{', '.join(m.left)}}} + {{{', '.join(m.right)}}} at {m.level!r}")
         return "\n".join(lines) + "\n"
 
     def to_newick(self) -> str:
@@ -141,11 +160,18 @@ class Dendrogram:
         for i, leaf in enumerate(self.leaves):
             quote = any(c.isspace() or c in "()[]':;," for c in leaf)
             label[i] = "'" + leaf.replace("'", "''") + "'" if quote else leaf
-        for node, (m, (a, b)) in enumerate(zip(self.merges, self._children), len(self.leaves)):
-            length = format(1.0 - m.level, "g")
+        for node, ((a, b), (_, _, level)) in enumerate(zip(self._children, self.edges), len(self.leaves)):
+            length = format(1.0 - level, "g")
             label[node] = f"({label.pop(a)}:{length},{label.pop(b)}:{length})"
         (root,) = label.values()
         return f"{root};"
+
+
+def _root(parent: list[int], a: int) -> int:
+    """The root of `a` in a union-find forest, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]  # assigns parent[a], then a
+    return a
 
 
 def single_linkage(matrix: SimilarityMatrix) -> Dendrogram:
@@ -159,11 +185,10 @@ def single_linkage(matrix: SimilarityMatrix) -> Dendrogram:
     pair (min(i, j), max(i, j)), smallest first. Under that order the maximum
     spanning tree is unique, and merging its k-1 edges in order is exactly
     the greedy rule above. Prim's algorithm builds the tree in O(k^2) time
-    with one numpy row update per added object; replaying the sorted tree
-    edges over per-object cluster labels then yields the merges.
+    with one numpy row update per added object; its edges, sorted into that
+    order, are the dendrogram.
     """
-    ids = matrix.ids
-    k = len(ids)
+    k = len(matrix.ids)
     if k < 2:
         raise SpecError(f"clustering needs at least 2 objects, got {k}")
     sim = matrix.values
@@ -174,48 +199,32 @@ def single_linkage(matrix: SimilarityMatrix) -> Dendrogram:
     level = sim[0].copy()
     key = objects.copy()
     level[0] = -1.0
-    edges = []  # (-level, key) of each tree edge
+    edges = []  # (i, j, level) of each tree edge, i < j
     for _ in range(k - 1):
         ties = np.flatnonzero(level == level.max())
         u = ties[np.argmin(key[ties])]
-        edges.append((-float(level[u]), int(key[u])))
+        edges.append((*divmod(int(key[u]), k), float(level[u])))
         level[u] = -1.0
         new_level = sim[u]
         new_key = np.minimum(objects, u) * k + np.maximum(objects, u)
         better = (level >= 0.0) & ((new_level > level) | ((new_level == level) & (new_key < key)))
         np.copyto(level, new_level, where=better)
         np.copyto(key, new_key, where=better)
-    # Replay the tree edges in merge order.
-    cluster = list(range(k))  # series index -> cluster id
-    members: dict[int, list[int]] = {c: [c] for c in range(k)}
-    merges = []
-    for neg_level, pair in sorted(edges):
-        i, j = divmod(pair, k)
-        ci, cj = cluster[i], cluster[j]
-        left = members.pop(ci)
-        right = members.pop(cj)
-        merges.append(
-            MergeStep(
-                tuple(ids[q] for q in left),
-                tuple(ids[q] for q in right),
-                -neg_level,
-            )
-        )
-        members[ci] = sorted(left + right)
-        for q in right:
-            cluster[q] = ci
-    return Dendrogram(leaves=ids, merges=tuple(merges))
+    return Dendrogram._from_edges(matrix.ids, tuple(sorted(edges, key=lambda e: (-e[2], e[0], e[1]))))
 
 
 def contains_cluster(tree: Dendrogram, cluster) -> bool:
-    """True when the exact leaf set appears as a node of the tree."""
+    """True when the exact leaf set appears as a node of the tree, found in O(k)."""
     wanted = frozenset(_checked("cluster", tuple[str, ...], cluster))
     if not wanted:
         raise SpecError("cluster must not be empty")
-    missing = wanted - set(tree.leaves)
-    if missing:
+    if missing := wanted - set(tree.leaves):
         raise SpecError(f"unknown leaf ids: {sorted(missing)}")
-    return wanted in set(tree.nodes())
+    # a node weighs 1 per wanted leaf under it and k + 1 per other leaf: only the set weighs |set|
+    weight = [1 if leaf in wanted else len(tree.leaves) + 1 for leaf in tree.leaves]
+    for a, b in tree._children:
+        weight.append(weight[a] + weight[b])
+    return len(wanted) in weight
 
 
 def cut(tree: Dendrogram, k: int) -> tuple[tuple[str, ...], ...]:

@@ -1,6 +1,6 @@
 """Lossless dict <-> spec conversion, and the package's one JSON writer.
 
-`to_dict` writes a spec, report or dendrogram as `{"kind": <its tag>}`, when
+`to_dict` writes a spec, report or merge step as `{"kind": <its tag>}`, when
 it has a tag, then its dataclass fields under their own names, each through
 `plain`: an Enum becomes its value, a non-finite float "inf", "-inf" or
 "nan", a tuple a list, and an object with its own `to_dict` that method's

@@ -73,6 +73,17 @@ _MISFITS = [
         lambda: verify(Pearson(), _SYM, trials=5, n_range=(3, 2**62)),
         f"bad n_range (3, {2**62}); it needs 2 <= start <= end <= {2**60 - 1}",
     ),
+    # the subject's least length, not the requested n_range, is what numpy would be asked for
+    (
+        "verify-min_n-past-arrays",
+        lambda: verify(_probe(min_n=2**61), trials=1),
+        f"the subject's least length {2**61} is past {2**60 - 1}, the most values an array holds",
+    ),
+    (
+        "verify-min_n-past-int64",
+        lambda: verify(_probe(min_n=2**62), trials=1),
+        f"the subject's least length {2**62} is past {2**60 - 1}, the most values an array holds",
+    ),
     ("verify-tol-huge", lambda: verify(Pearson(), _SYM, tol=-_HUGE), "tol must be >= 0, got an integer of 5001 digits"),
     ("verify-properties-huge", lambda: verify(Pearson(), _HUGE, trials=5), f"properties {_LONG}"),
     ("verify-properties-bool", lambda: verify(Pearson(), True, trials=5), "properties must be a tuple, got True"),

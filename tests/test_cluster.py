@@ -87,6 +87,23 @@ def _reference_nodes(tree: Dendrogram) -> tuple[frozenset, ...]:
     return tuple(out)
 
 
+def _reference_contains(tree: Dendrogram, cluster) -> bool:
+    """The former contains_cluster rule, every node's member set: the oracle for the count."""
+    return frozenset(cluster) in set(tree.nodes())
+
+
+def _replayed_nodes(tree: Dendrogram) -> tuple[frozenset, ...]:
+    """Every node, found by joining the clusters that hold each edge's two leaves, in order."""
+    out = [frozenset([leaf]) for leaf in tree.leaves]
+    cluster = list(out)  # leaf position -> its current cluster
+    position = {leaf: p for p, leaf in enumerate(tree.leaves)}
+    for i, j, _ in tree.edges:
+        out.append(cluster[i] | cluster[j])
+        for leaf in out[-1]:
+            cluster[position[leaf]] = out[-1]
+    return tuple(out)
+
+
 def chain(k):
     """The k-leaf tree that joins o0 and o1, then adds one leaf per merge."""
     leaves = tuple(f"o{i}" for i in range(k))
@@ -146,6 +163,14 @@ def random_matrix(rng, k):
         for j in range(i + 1, k):
             v[i, j] = v[j, i] = rng.uniform(0.0, 1.0)
     return SimilarityMatrix(tuple(f"o{i}" for i in range(k)), v)
+
+
+def spanning_tree(matrix):
+    """networkx's maximum spanning tree of the matrix, weights as edge data."""
+    g = nx.Graph()
+    k = len(matrix.ids)
+    g.add_weighted_edges_from((i, j, float(matrix.values[i, j])) for i in range(k) for j in range(i + 1, k))
+    return nx.maximum_spanning_tree(g)
 
 
 def mst_levels(matrix):
@@ -257,6 +282,24 @@ class TestSingleLinkage:
         done = subprocess.run([sys.executable, str(oracle)], capture_output=True, text=True, env=env)
         assert (done.returncode, done.stdout, done.stderr) == (0, "296 matrices match\n", "")
 
+    @pytest.mark.parametrize("step", [None, 1 / 2, 1 / 3, 1 / 5])
+    def test_edges_are_the_maximum_spanning_tree(self, step):
+        rng = np.random.default_rng(65)
+        for _ in range(60):
+            k = int(rng.integers(2, 41))
+            v = rng.uniform(0.0, 1.0, (k, k))
+            if step is not None:  # tie-heavy: entries on a coarse grid
+                v = np.round(v / step) * step
+            m = from_upper(v)
+            tree, theirs = single_linkage(m), spanning_tree(m)
+            assert len(tree.edges) == k - 1
+            assert all(i < j and level == m.values[i, j] for i, j, level in tree.edges)
+            assert tree.levels() == tuple(level for _, _, level in tree.edges)
+            if step is None:  # distinct entries: the maximum spanning tree is unique
+                assert {frozenset((i, j)) for i, j, _ in tree.edges} == {frozenset(e) for e in theirs.edges}
+            assert sorted(tree.levels()) == sorted(w for _, _, w in theirs.edges(data="weight"))
+            assert _replayed_nodes(tree) == tree.nodes()
+
     def test_all_equal_matches_reference(self):
         for k in (2, 3, 7, 25):
             m = from_upper(np.full((k, k), 0.25))
@@ -352,6 +395,52 @@ class TestDendrogram:
                     others += 1
                     assert not contains_cluster(tree, subset)
         assert others > 200
+
+    def test_hand_built_edges_replay_to_the_same_nodes(self):
+        for tree in HAND_BUILT:
+            assert _replayed_nodes(tree) == tree.nodes()
+            assert tree.levels() == tuple(m.level for m in tree.merges)
+            # each merge is an edge between the first leaves its two sides list
+            firsts = tuple((tree.leaves[i], tree.leaves[j]) for i, j, _ in tree.edges)
+            assert firsts == tuple((m.left[0], m.right[0]) for m in tree.merges)
+
+    @pytest.mark.parametrize("step", [None, 1 / 2, 1 / 3, 1 / 5])
+    def test_contains_cluster_matches_reference(self, step):
+        rng = np.random.default_rng(65)
+        trees = list(HAND_BUILT) + [chain(k) for k in (2, 7, 30)]
+        for _ in range(40):
+            k = int(rng.integers(2, 41))
+            v = rng.uniform(0.0, 1.0, (k, k))
+            if step is not None:  # tie-heavy: entries on a coarse grid
+                v = np.round(v / step) * step
+            trees.append(single_linkage(from_upper(v)))
+        others = 0
+        for tree in trees:
+            for node in tree.nodes():
+                assert contains_cluster(tree, node) and _reference_contains(tree, node)
+            for _ in range(10):
+                size = int(rng.integers(1, len(tree.leaves) + 1))
+                subset = rng.choice(tree.leaves, size, replace=False).tolist()
+                others += not _reference_contains(tree, subset)
+                assert contains_cluster(tree, subset) == _reference_contains(tree, subset)
+        assert others > 150
+
+    def test_queries_build_no_member_sets(self, monkeypatch):
+        m = from_upper(np.random.default_rng(72).uniform(0.0, 1.0, (300, 300)))
+        groups = sorted(cut(single_linkage(m), 150), key=len)[-4:]  # nodes of 11 to 17 leaves
+        clusters = [*groups, groups[0][1:], groups[0] + groups[1][:1], m.ids[:40], m.ids[7:8]]
+        expected = [_reference_contains(single_linkage(m), c) for c in clusters]
+        assert True in expected and False in expected
+
+        def refuse(tree):
+            raise AssertionError("nodes() builds every node's member set")
+
+        monkeypatch.setattr(Dendrogram, "nodes", refuse)
+        tree = single_linkage(m)
+        assert [contains_cluster(tree, c) for c in clusters] == expected
+        assert sorted(cut(tree, 150), key=len)[-4:] == groups
+        assert tree.to_newick().endswith(";")
+        assert "merges" not in vars(tree)
 
     def test_contains_cluster(self):
         tree = single_linkage(THREE)
