@@ -175,13 +175,7 @@ def spanning_tree(matrix):
 
 def mst_levels(matrix):
     """Independent oracle: descending max-spanning-tree edge weights."""
-    g = nx.Graph()
-    k = len(matrix.ids)
-    for i in range(k):
-        for j in range(i + 1, k):
-            g.add_edge(i, j, weight=float(matrix.values[i, j]))
-    tree = nx.maximum_spanning_tree(g)
-    return tuple(sorted((d["weight"] for _, _, d in tree.edges(data=True)), reverse=True))
+    return tuple(sorted((w for _, _, w in spanning_tree(matrix).edges(data="weight")), reverse=True))
 
 
 class TestSimilarityMatrix:
@@ -291,13 +285,12 @@ class TestSingleLinkage:
             if step is not None:  # tie-heavy: entries on a coarse grid
                 v = np.round(v / step) * step
             m = from_upper(v)
-            tree, theirs = single_linkage(m), spanning_tree(m)
+            tree = single_linkage(m)
             assert len(tree.edges) == k - 1
             assert all(i < j and level == m.values[i, j] for i, j, level in tree.edges)
-            assert tree.levels() == tuple(level for _, _, level in tree.edges)
             if step is None:  # distinct entries: the maximum spanning tree is unique
-                assert {frozenset((i, j)) for i, j, _ in tree.edges} == {frozenset(e) for e in theirs.edges}
-            assert sorted(tree.levels()) == sorted(w for _, _, w in theirs.edges(data="weight"))
+                assert {frozenset((i, j)) for i, j, _ in tree.edges} == set(map(frozenset, spanning_tree(m).edges))
+            assert tree.levels() == mst_levels(m)
             assert _replayed_nodes(tree) == tree.nodes()
 
     def test_all_equal_matches_reference(self):
