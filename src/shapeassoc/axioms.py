@@ -17,8 +17,8 @@ A trial's inputs are fully determined by (seed, property, trial index) and
 the length range: `n_range` raised to the subject's least length, or the
 subject's exact length. Two runs with the same arguments produce
 byte-identical reports, and subjects with different `bounds` see different
-series. Subjects with the same range share each trial's inputs: they are
-drawn once and kept, read-only, in a cache of bounded size.
+series. Subjects with the same range share each trial's inputs up to n = 62:
+drawn once, they are kept read-only in a cache of at most 2**20 floats (8 MB).
 """
 
 import enum
@@ -46,6 +46,7 @@ _ALL = (_ASSOC, _SIM, _DISSIM)
 # the value interval of each kind; a normal dissimilarity narrows its own to (0, 2)
 _LIMITS = {_ASSOC: (-1.0, 1.0), _SIM: (0.0, 1.0), _DISSIM: (0.0, math.inf)}
 _MAX_N = np.iinfo(np.intp).max // 8  # the most float64 values a numpy array can hold
+_CACHED_N = 2**20 // (2 * 8400)  # 8,400 cached trials of two such series hold <= 2**20 floats
 
 _SCALE_CHOICES = (1e-3, 0.5, 2.0, 1e3)
 _AFFINE_SLOPES = (-3.0, -1.0, 0.5, 2.0)
@@ -249,9 +250,9 @@ def _draw_series(rng: "np.random.Generator", n: int, style: str) -> np.ndarray:
 
 
 # Criterion 3 of the acceptance suite draws 3 seeds x 7 properties x 200 trials
-# over 2 length ranges: 8,400 trials of about 1 KB each. Its subjects switch
-# between the two ranges, so a key comes back after all the others: a smaller
-# LRU bound would evict every draw before its reuse.
+# over 2 length ranges: 8,400 trials of n <= 60. Its subjects switch between the
+# two ranges, so a key comes back after all the others: a smaller LRU bound would
+# evict every draw before its reuse. `verify` caches no series past _CACHED_N.
 @functools.lru_cache(maxsize=8400)
 def _draw_trial(seed: int, prop: PropertyId, t: int, exact_n: int | None, lo: int, hi: int):
     """The inputs (x, y, params) of trial t of `prop`; y is None for an "x" property.
@@ -402,13 +403,14 @@ def verify(
     if (lo := exact_n or max(lo_req, min_n)) > _MAX_N:
         raise SpecError(f"the subject's least length {lo} is past {_MAX_N}, the most values an array holds")
     hi = exact_n or max(hi_req, lo)
+    draw = _draw_trial if hi <= _CACHED_N else _draw_trial.__wrapped__  # longer: drawn afresh
 
     def check(prop: PropertyId) -> PropertyResult:
         if kind not in prop.kinds:
             return PropertyResult(prop, "not-applicable", 0, 0.0)
         worst, witness = 0.0, None
         for t in range(trials):
-            x, y, params = _draw_trial(seed, prop, t, exact_n, lo, hi)
+            x, y, params = draw(seed, prop, t, exact_n, lo, hi)
             try:
                 v, note = _trial(prop, subject, x, y, params)
             except ConstantSeriesError:

@@ -77,27 +77,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("standardize", parents=[], help="standardize every series in a dataset")
+    p.set_defaults(func=_cmd_standardize)
     _add_dataset_args(p)
     p.add_argument("--spec", required=True, help="preset name or standardization JSON file")
     p.add_argument("--output", default=None, help="output CSV (default stdout)")
 
     p = sub.add_parser("assoc", help="association of one series pair")
+    p.set_defaults(func=_cmd_assoc)
     _add_dataset_args(p)
     p.add_argument("--measure", required=True, help="shorthand or measure JSON file")
     p.add_argument("--x", required=True, help="first series id")
     p.add_argument("--y", required=True, help="second series id")
 
     p = sub.add_parser("matrix", help="pairwise association matrix as CSV")
+    p.set_defaults(func=_cmd_matrix)
     _add_dataset_args(p)
     p.add_argument("--measure", required=True)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("cluster", help="single-linkage dendrogram from a matrix CSV")
+    p.set_defaults(func=_cmd_cluster)
     p.add_argument("--matrix", required=True, help="association or similarity matrix CSV")
     p.add_argument("--format", default="newick", choices=("newick", "text", "json"))
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("axioms", help="verify measure properties on random series")
+    p.set_defaults(func=_cmd_axioms)
     p.add_argument("--measure", required=True)
     p.add_argument("--props", default="all", help="'all', 'sam', or comma-separated property ids")
     p.add_argument("--trials", type=int, default=200)
@@ -108,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_path", default=None, help="also write the JSON report here")
 
     p = sub.add_parser("bench", help="clustering benchmark against known clusters")
+    p.set_defaults(func=_cmd_bench)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", default=None, help="benchmark JSON config")
     source.add_argument("--synthetic", action="store_true", help="run the default synthetic benchmark")
@@ -201,16 +207,6 @@ def _cmd_bench(args) -> int:
     return 0 if report.passed() else 2
 
 
-_COMMANDS = {
-    "standardize": _cmd_standardize,
-    "assoc": _cmd_assoc,
-    "matrix": _cmd_matrix,
-    "cluster": _cmd_cluster,
-    "axioms": _cmd_axioms,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -221,7 +217,7 @@ def main(argv=None) -> int:
         # numpy's overflow warnings would precede the error line; every
         # non-finite result already raises an error that names its cause
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args)
+            return args.func(args)
     except (ShapeAssocError, ValueError, OSError, MemoryError) as exc:  # MemoryError: numpy could not allocate
         sys.stderr.write(f"shapeassoc: error: {str(exc) or type(exc).__name__}\n")
         return 1

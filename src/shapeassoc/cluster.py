@@ -43,7 +43,7 @@ def _ids(value, least: int, message: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
-    """Symmetric matrix with unit diagonal and entries in [0, 1]."""
+    """Symmetric matrix with unit diagonal and entries in [0, 1], each within 1e-9."""
 
     ids: tuple[str, ...]
     values: np.ndarray
@@ -56,14 +56,15 @@ class SimilarityMatrix:
             raise SpecError(f"matrix shape {v.shape} does not match {k} ids")
         if not np.all(np.isfinite(v)):
             raise SpecError("similarity matrix contains non-finite entries")
-        if not np.array_equal(v, v.T):
-            raise SpecError("similarity matrix must be exactly symmetric")
+        if np.any(np.abs(v - v.T) > _CLAMP_TOL):
+            raise SpecError("similarity matrix must be symmetric (within 1e-9)")
         if np.any(v < -_CLAMP_TOL) or np.any(v > 1.0 + _CLAMP_TOL):
             raise SpecError("similarity entries must lie in [0, 1] (within 1e-9)")
         if np.any(np.abs(np.diag(v) - 1.0) > _CLAMP_TOL):
             raise SpecError("similarity diagonal must be 1 (within 1e-9)")
         np.clip(v, 0.0, 1.0, out=v)
         np.fill_diagonal(v, 1.0)
+        np.copyto(v, v.T, where=np.tri(k, k, -1, dtype=bool))  # one value a pair: the upper
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

@@ -89,15 +89,15 @@ class CenterScale(Standardization):
         return centered / spread
 
 
-# id of each member array -> {key: its result}, while a matrix runs. A member is a
-# read-only series' values, or an array stored here: F(v) per standardization, the
-# negation -v and in turn F(-v), Pearson's centered vector with its squared norm.
+# id of each member array -> {id(key): (key, its result)}, while a matrix runs; holding
+# the key keeps a new object from taking its id. A member is a read-only series' values,
+# or an array stored here: F(v), -v, F(-v), Pearson's centered vector and squared norm.
 _store: ContextVar[dict[int, dict] | None] = ContextVar("_store", default=None)
 
 
 @contextmanager
 def _standardized_once(arrays):
-    """Within the block, per-series work is computed once per key for each
+    """Within the block, per-series work is computed once per key object for each
     read-only array a, which the caller keeps alive until the block ends."""
     token = _store.set({id(a): {} for a in arrays if not a.flags.writeable})
     try:
@@ -108,17 +108,19 @@ def _standardized_once(arrays):
 
 def _once(key, v: np.ndarray, compute):
     """compute(v): a new array, or a tuple led by one. Inside a matrix, for a member
-    array v, computed once per key; its array is then read-only and a member too."""
+    array v, computed once per key object; its array is then read-only and a member too."""
     store = _store.get()
     results = None if store is None else store.get(id(v))
     if results is None:
         return compute(v)
-    out = results.get(key)
-    if out is None:
-        out = results[key] = compute(v)
-        a = out[0] if type(out) is tuple else out
-        a.flags.writeable = False
-        store.setdefault(id(a), {})
+    held = results.get(id(key))
+    if held is not None:
+        return held[1]
+    out = compute(v)
+    results[id(key)] = key, out
+    a = out[0] if type(out) is tuple else out
+    a.flags.writeable = False
+    store.setdefault(id(a), {})
     return out
 
 
@@ -130,11 +132,8 @@ def _negated(v: np.ndarray) -> np.ndarray:
 def standardize_values(spec: Standardization, v: np.ndarray) -> np.ndarray:
     """Apply the standardization to a raw value vector.
 
-    Inside `association_matrix`, the values of a member series, and their
-    negation, are standardized once per standardization and the read-only
-    result reused."""
-    if type(spec).__hash__ is None:
-        return spec.evaluate(v)
+    Inside `association_matrix`, a member series' values and their negation are
+    standardized once per standardization object, the read-only result reused."""
     return _once(spec, v, spec.evaluate)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -475,6 +476,24 @@ class TestTrialCache:
         assert info.misses == 2 * 7 * 50
         assert info.currsize <= info.maxsize
         assert info.hits == 15 * 7 * 50 - info.misses
+
+    def test_long_series_leave_the_cache_small(self):
+        _draw_trial.cache_clear()
+        tracemalloc.start()
+        try:
+            report = verify(Pearson(), trials=200, n_range=(5000, 5000))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.passed() and report.n_range == (5000, 5000)
+        assert held < 16 * 2**20
+
+    def test_only_trials_of_at_most_62_values_are_kept(self):
+        _draw_trial.cache_clear()
+        for n in (62, 63):
+            verify(Pearson(), (PropertyId.SYMMETRY,), trials=3, n_range=(n, n))
+        assert _draw_trial.cache_info().currsize == 3
+        assert _draw_trial.cache_info().maxsize * 2 * 62 <= 2**20  # floats the full cache holds
 
     def test_a_subject_cannot_write_into_the_shared_inputs(self):
         def overwrite(vx, vy):

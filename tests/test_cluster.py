@@ -213,6 +213,22 @@ class TestSimilarityMatrix:
             with pytest.raises(SpecError, match="ids must be unique non-empty strings"):
                 SimilarityMatrix(ids, np.eye(2))
 
+    def test_accepts_numpys_correlation_matrix(self):
+        walks = np.cumsum(np.random.default_rng(11).standard_normal((100, 365)), axis=1)
+        r = np.corrcoef(walks)
+        assert not np.array_equal(r, r.T) and np.abs(r - r.T).max() <= 1e-9
+        ids = tuple(f"s{i}" for i in range(100))
+        m = SimilarityMatrix.from_association(ids, r)
+        want = SimilarityMatrix.from_association(ids, np.triu(r) + np.triu(r, 1).T)  # mirrored by hand
+        assert np.array_equal(m.values, m.values.T) and np.array_equal(m.values, want.values)
+        assert single_linkage(m).edges == single_linkage(want).edges
+
+    def test_refuses_asymmetry_past_the_tolerance(self):
+        v = np.array([[1.0, 0.5], [0.5 + 2e-9, 1.0]])
+        with pytest.raises(SpecError, match=r"symmetric \(within 1e-9\)"):
+            SimilarityMatrix(("a", "b"), v)
+        assert SimilarityMatrix(("a", "b"), np.array([[1.0, 0.5], [0.5 + 5e-10, 1.0]])).values[1, 0] == 0.5
+
 
 class TestSingleLinkage:
     def test_worked_example(self):

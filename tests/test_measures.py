@@ -1169,12 +1169,12 @@ class TestStandardizedOnce:
 
     @staticmethod
     def _count_evaluations(monkeypatch):
-        """Record each array Center.evaluate is called on."""
+        """Record (standardization, array) for each call of Center.evaluate."""
         seen = []
         original = Center.evaluate
 
         def counted(self, v):
-            seen.append(v)
+            seen.append((self, v))
             return original(self, v)
 
         monkeypatch.setattr(Center, "evaluate", counted)
@@ -1256,7 +1256,7 @@ class TestStandardizedOnce:
         assert outs[0].flags.writeable and not outs[1].flags.writeable
 
     @pytest.mark.parametrize("route", _STANDARDIZED)
-    def test_an_unhashable_standardization_is_computed_per_call(self, route):
+    def test_an_unhashable_standardization_is_stored_like_any_other(self, monkeypatch, route):
         class Unhashable(Center):
             __hash__ = None
 
@@ -1264,8 +1264,44 @@ class TestStandardizedOnce:
         compute, _ = _ROUTES[route]
         outs = []
         data = load_set([[1, 2, 4], [3, 1, 2], [2, 2, 1]])
+        seen = self._count_evaluations(monkeypatch)
         association_matrix(_OnEachPair(lambda vx: outs.append(compute(f, vx))), data)
-        assert all(out.flags.writeable for out in outs)
+        assert not any(out.flags.writeable for out in outs)
+        # one evaluation per first-of-pair series, or per its stored negation
+        assert len(seen) == len({id(v) for _, v in seen}) == len(data) - 1
+
+    def test_a_fresh_standardization_never_gets_a_dead_ones_result(self):
+        class Fresh(MeasureSpec):
+            """Builds a fresh Center(median), then a fresh Center(low), per series and
+            call; without the store each dies before the next is made, and the next
+            one may take its id."""
+
+            tag = "fresh"
+            median, low = Median(), Min()
+
+            def evaluate(self, vx, vy):
+                gaps = []
+                for v in (vx, vy):
+                    median = standardize_values(Center(self.median), v)
+                    low = standardize_values(Center(self.low), v)
+                    gaps.append(float(low[0] - median[0]))
+                return math.tanh(gaps[0] * gaps[1])
+
+        data = _once_set(np.random.default_rng(8), 9)
+        want = _matrix_outcome(_reference_matrix, Fresh(), data)
+        assert isinstance(want, list) and 0 not in want[0]  # a stale hit would read +0.0
+        assert _matrix_outcome(lambda *a: association_matrix(*a).values, Fresh(), data) == want
+
+    def test_equal_standardizations_are_not_shared(self, monkeypatch):
+        f, g = Center(Median()), Center(Median())
+        assert f == g and f is not g
+        data = _once_set(np.random.default_rng(9), 9)
+        seen = self._count_evaluations(monkeypatch)
+        association_matrix(_OnEachPair(lambda vx: [standardize_values(h, vx) for h in (f, g)]), data)
+        for h in (f, g):
+            arrays = [id(v) for spec, v in seen if spec is h]
+            assert len(arrays) == len(set(arrays)) == len(data) - 1
+        assert len(seen) == 2 * (len(data) - 1)
 
     @pytest.mark.parametrize(
         "spec, standardizations, centers, centerings",
