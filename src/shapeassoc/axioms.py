@@ -26,9 +26,9 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable
 
 import numpy as np
 
@@ -188,23 +188,19 @@ class AbsSimilarity(Spec):
 
 
 @dataclass(frozen=True)
-class Probe:
+class Probe(Spec):
     """A raw callable as a subject, to verify a function that has no spec."""
 
     kind: str
-    fn: Callable[[np.ndarray, np.ndarray], float]
+    fn: Callable  # called as fn(vx, vy) -> float
     name: str
     min_n: int = 2
     bounds = property(lambda self: (self.min_n, None))
     limits = property(lambda self: _LIMITS[self.kind])
 
-    def __post_init__(self):  # `fn`'s annotation is no type the field rule reads
-        for name, kind in (("kind", str), ("name", str), ("min_n", int)):
-            object.__setattr__(self, name, _checked(name, kind, getattr(self, name)))
+    def _validate(self):
         if self.kind not in _ALL:
             raise SpecError(f"unknown subject kind {self.kind!r}")
-        if not callable(self.fn):
-            raise SpecError(f"fn must be callable, got {_unwritable(self.fn) or repr(self.fn)}")
 
     def evaluate(self, vx: np.ndarray, vy: np.ndarray) -> float:
         value = self.fn(vx, vy)

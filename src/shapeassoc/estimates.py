@@ -7,8 +7,8 @@ algebraic traits that standardizations and measures rely on. `Spec`, the
 base of every spec family here and in the modules above, checks each field
 against its annotation, derives a composite's `bounds` from its parts, and
 only then runs the class's own rule, `_validate`. `central_values` and
-`scale_values` evaluate them on a value vector, with their length and
-overflow checks. `minkowski_norm` is the one order-r norm, used by
+`scale_values` evaluate them on a value vector, with their length checks and
+`finite`, the one overflow rule. `minkowski_norm` is the one order-r norm, used by
 MinkowskiDeviation, CenterScale and the Minkowski dissimilarity of `measures`.
 
 - translation additive:  E(x + q) = E(x) + q
@@ -358,12 +358,12 @@ def central_values(spec: CentralEstimate, v: np.ndarray) -> float:
 
 def scale_values(spec: ScaleEstimate, v: np.ndarray) -> float:
     """Evaluate a scale estimate on a raw value vector."""
-    return finite_scale(spec, spec.evaluate(v))
+    return finite(spec.evaluate(v), spec.tag, "scale")
 
 
-def finite_scale(spec: ScaleEstimate, s: float) -> float:
-    """s, a value of spec; DomainError when it overflowed to inf (or is NaN),
-    rather than let a standardization divide by it and return zeros."""
-    if not math.isfinite(s):
-        raise DomainError(f"{spec.tag} scale is not finite ({s}); the values overflow float64")
-    return s
+def finite(x: float, *what: str) -> float:
+    """x, or DomainError naming it by the words `what` when it overflowed to inf (or
+    is NaN), rather than let a later step turn it into a silent 0.0 or NaN."""
+    if not math.isfinite(x):
+        raise DomainError(f"{' '.join(what)} is not finite ({x}); the values overflow float64")
+    return x

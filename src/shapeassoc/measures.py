@@ -31,7 +31,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConstantSeriesError, DomainError, ShapeError, SpecError
-from .estimates import GeneralizedMidrange, Spec, minkowski_norm
+from .estimates import GeneralizedMidrange, Spec, finite, minkowski_norm
 from .series import SeriesSet, TimeSeries, is_constant, is_constant_values
 from .standardize import Center, Standardization, _negated, _once, _standardized_once, standardize_values
 
@@ -162,10 +162,7 @@ def _on_pair(spec, x: TimeSeries, y: TimeSeries) -> float:
 
 
 def dissimilarity_values(spec: DissimilaritySpec, vx: np.ndarray, vy: np.ndarray) -> float:
-    d = spec.evaluate(vx, vy)
-    if not math.isfinite(d):
-        raise DomainError(f"dissimilarity is not finite ({d}); the values overflow float64")
-    return d
+    return finite(spec.evaluate(vx, vy), "dissimilarity")
 
 
 def dissimilarity(spec: DissimilaritySpec, x: TimeSeries, y: TimeSeries) -> float:
@@ -326,15 +323,13 @@ class SimilarityComplement(MeasureSpec):
 
 def _cosine(fx: np.ndarray, fy: np.ndarray, xx: float, yy: float) -> float:
     """fx . fy / sqrt(xx * yy), where xx and yy are the squared norms of fx and fy."""
-    # Python floats and math.sqrt: correctly rounded like numpy's, without the scalar overhead
-    denom = math.sqrt(xx * yy)
+    # Python floats and math.sqrt: correctly rounded like numpy's, without the scalar
+    # overhead; an overflowing norm product would turn the ratio into a silent 0.0
+    denom = finite(math.sqrt(xx * yy), "norm product")
     if denom == 0.0:
         if fx.any() and fy.any():
             raise DomainError("norm product underflows to 0; the values are too small for float64")
         raise ConstantSeriesError("cosine is undefined when a standardized series is zero")
-    # an overflowing norm product would turn the ratio into a silent 0.0
-    if not math.isfinite(denom):
-        raise DomainError(f"norm product is not finite ({denom}); the values overflow float64")
     return float(np.dot(fx, fy)) / denom
 
 
@@ -381,10 +376,7 @@ def GeneralizedMidrangeCorrelation(k: int = 0, m: int = 2) -> CosineStandardized
 def associate_values(spec: MeasureSpec, vx: np.ndarray, vy: np.ndarray) -> float:
     if is_constant_values(vx) or is_constant_values(vy):
         raise ConstantSeriesError("association is undefined for constant series")
-    a = spec.evaluate(vx, vy)
-    if not math.isfinite(a):
-        raise DomainError(f"association is not finite ({a}); the values overflow float64")
-    return a
+    return finite(spec.evaluate(vx, vy), "association")
 
 
 def associate(spec: MeasureSpec, x: TimeSeries, y: TimeSeries) -> float:
@@ -404,7 +396,7 @@ class AssociationMatrix:
 def association_matrix(spec: MeasureSpec, data: SeriesSet) -> AssociationMatrix:
     """Pairwise associations; symmetric by construction, diagonal exactly 1.
 
-    Each series, and its negation, is standardized once per standardization,
+    Each series, and its negation, is standardized once per standardization object,
     and mean-centered once for Pearson, not once per pair."""
     series = data.series
     k = len(series)

@@ -32,7 +32,7 @@ from .estimates import (
     Spec,
     _checked,
     central_values,
-    finite_scale,
+    finite,
     minkowski_norm,
     scale_values,
 )
@@ -83,7 +83,7 @@ class CenterScale(Standardization):
         if r is None:
             spread = scale_values(self.spread, v)
         else:  # the deviation around the center just subtracted: the norm of `centered`
-            spread = finite_scale(self.spread, minkowski_norm(centered, r))
+            spread = finite(minkowski_norm(centered, r), self.spread.tag, "scale")
         if spread == 0.0:
             raise DomainError("spread underflows to 0; the values are too small for float64")
         return centered / spread

@@ -3,9 +3,9 @@
 Each call below passes one misfit: an int too long to write, a float where an
 int is expected, a bool, a str or an int where a sequence is expected, an int
 where a callable is expected, or a length no array can have. Each raises
-SpecError, whose message starts with the argument's name or is the function's
-own refusal, never a bare ValueError, TypeError or AttributeError, and never
-builds.
+SpecError, whose message starts with the argument's name (`Probe.<field>` for a
+`Probe` field, as for any spec) or is the function's own refusal, never a bare
+ValueError, TypeError or AttributeError, and never builds.
 """
 
 import sys
@@ -88,12 +88,12 @@ _MISFITS = [
     ("verify-properties-huge", lambda: verify(Pearson(), _HUGE, trials=5), f"properties {_LONG}"),
     ("verify-properties-bool", lambda: verify(Pearson(), True, trials=5), "properties must be a tuple, got True"),
     ("verify-properties-str", lambda: verify(Pearson(), "symmetry"), "properties must be a tuple, got 'symmetry'"),
-    ("probe-min_n-huge", lambda: _probe(min_n=_HUGE), f"min_n {_LONG}"),
-    ("probe-kind-huge", lambda: _probe(kind=_HUGE), f"kind {_LONG}"),
-    ("probe-name-float", lambda: _probe(name=2.0), "name must be a string, got 2.0"),
-    ("probe-name-bool", lambda: _probe(name=True), "name must be a string, got True"),
-    ("probe-fn-int", lambda: _probe(fn=5), "fn must be callable, got 5"),
-    ("probe-fn-huge", lambda: _probe(fn=_HUGE), "fn must be callable, got an integer of 5001 digits"),
+    ("probe-min_n-huge", lambda: _probe(min_n=_HUGE), f"Probe.min_n {_LONG}"),
+    ("probe-kind-huge", lambda: _probe(kind=_HUGE), f"Probe.kind {_LONG}"),
+    ("probe-name-float", lambda: _probe(name=2.0), "Probe.name must be a string, got 2.0"),
+    ("probe-name-bool", lambda: _probe(name=True), "Probe.name must be a string, got True"),
+    ("probe-fn-int", lambda: _probe(fn=5), "Probe.fn must be a Callable, got int"),
+    ("probe-fn-huge", lambda: _probe(fn=_HUGE), f"Probe.fn {_LONG}"),
     ("replay-witness-huge", lambda: replay(Pearson(), _HUGE), f"witness {_LONG}"),
     ("replay-witness-float", lambda: replay(Pearson(), 1.5), "witness must be a Witness, got float"),
     ("replay-witness-bool", lambda: replay(Pearson(), True), "witness must be a Witness, got bool"),

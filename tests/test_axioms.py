@@ -164,7 +164,7 @@ class TestSubjectProtocol:
     def test_probe_min_n_must_be_an_integer(self, min_n):
         with pytest.raises(SpecError) as exc:
             Probe("association", lambda vx, vy: 0.0, "p", min_n=min_n)
-        assert str(exc.value) == f"min_n must be an integer, got {min_n!r}"
+        assert str(exc.value) == f"Probe.min_n must be an integer, got {min_n!r}"
 
     def test_probe_min_n_is_stored_as_an_int(self):
         probe = Probe("association", lambda vx, vy: 0.0, "p", min_n=np.int64(10))

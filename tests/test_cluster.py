@@ -229,6 +229,22 @@ class TestSimilarityMatrix:
             SimilarityMatrix(("a", "b"), v)
         assert SimilarityMatrix(("a", "b"), np.array([[1.0, 0.5], [0.5 + 5e-10, 1.0]])).values[1, 0] == 0.5
 
+    @pytest.mark.parametrize(
+        "build, edge, away, message",
+        [
+            (lambda v: [[1.0, v], [v, 1.0]], -1e-9, -1.0, "entries must lie in"),
+            (lambda v: [[1.0, v], [v, 1.0]], 1.0 + 1e-9, 2.0, "entries must lie in"),
+            (lambda v: [[1.0, 0.0], [v, 1.0]], 1e-9, 1.0, "must be symmetric"),
+            # the largest d with |d - 1| <= 1e-9 as the check computes it; 1 + 1e-9 is past it
+            (lambda v: [[v, 0.5], [0.5, 1.0]], np.nextafter(1.0 + 1e-9, 0.0), 2.0, "diagonal must be 1"),
+        ],
+        ids=["entry-low", "entry-high", "asymmetry", "diagonal"],
+    )
+    def test_each_tolerance_takes_its_edge_and_not_the_next_float(self, build, edge, away, message):
+        SimilarityMatrix(("a", "b"), np.array(build(edge)))
+        with pytest.raises(SpecError, match=message):
+            SimilarityMatrix(("a", "b"), np.array(build(np.nextafter(edge, away))))
+
 
 class TestSingleLinkage:
     def test_worked_example(self):

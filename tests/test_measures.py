@@ -52,6 +52,7 @@ from shapeassoc import (
     similarity,
     standardize,
 )
+from shapeassoc.axioms import Probe
 from shapeassoc.bench import (
     BenchmarkMeasure,
     BenchmarkSpec,
@@ -76,6 +77,7 @@ from shapeassoc.measures import (
     DecayTransform,
     GrowthTransform,
     MeasureSpec,
+    _branch_value,
     _mean_centered,
     associate_values,
     constant_ids,
@@ -128,8 +130,8 @@ _FAMILY_FIELDS = {
 
 
 def _every_spec() -> dict[type, object]:
-    """One instance of every spec class, reachable from one spec of every kind and
-    two benchmark specs: one on synthetic data, one on a file with true clusters."""
+    """One instance of every spec class, reachable from one spec of every kind, a
+    Probe and two benchmark specs: one on synthetic data, one on a file with true clusters."""
     out = {}
 
     def walk(value):
@@ -143,7 +145,8 @@ def _every_spec() -> dict[type, object]:
 
     measures = (BenchmarkMeasure("p", Pearson(), "all"),)
     on_file = BenchmarkSpec(FileDataset("x.txt"), measures, (("s1", "s2"),))
-    for spec in (*_spec_of_every_kind().values(), BenchmarkSpec(SyntheticDataset(), measures), on_file):
+    probe = Probe("association", lambda vx, vy: 0.0, "p")
+    for spec in (*_spec_of_every_kind().values(), probe, BenchmarkSpec(SyntheticDataset(), measures), on_file):
         walk(spec)
     return out
 
@@ -153,6 +156,8 @@ _EVERY_SPEC = _every_spec()
 _EVERY_FIELD = {
     (cls.__name__, f.name): (spec, f.type) for cls, spec in _EVERY_SPEC.items() for f in dataclasses.fields(spec)
 }
+# the same, less Probe's fields: a Probe has no dict form
+_JSON_FIELD = {key: value for key, value in _EVERY_FIELD.items() if key[0] != "Probe"}
 _SCALAR_KINDS = {int: "an integer", float: "a real number", bool: "a boolean", str: "a string"}
 
 
@@ -202,6 +207,8 @@ class TestTransforms:
             RationalDecay(0.0)
         with pytest.raises(SpecError):
             PowerHalf(-1.0)
+        # the least positive float is > 0
+        assert PowerHalf(5e-324).p == RationalDecay(5e-324).k == 5e-324
 
 
 class TestDissimilarity:
@@ -422,7 +429,7 @@ class Shifted(RationalDecay):
 
 
 class TestEveryField:
-    def test_the_walk_reaches_all_44_fields_of_the_34_spec_classes(self):
+    def test_the_walk_reaches_all_48_fields_of_the_35_spec_classes(self):
         def subclasses(cls):
             for sub in cls.__subclasses__():
                 yield sub
@@ -430,7 +437,7 @@ class TestEveryField:
 
         package = {c for c in subclasses(Spec) if dataclasses.is_dataclass(c) and c.__module__.startswith("shapeassoc.")}
         assert set(_EVERY_SPEC) == package
-        assert (len(_EVERY_SPEC), len(_EVERY_FIELD)) == (34, 44)
+        assert (len(_EVERY_SPEC), len(_EVERY_FIELD)) == (35, 48)
 
     @pytest.mark.parametrize("cls, field", sorted(_EVERY_FIELD))
     def test_every_field_refuses_a_value_of_the_wrong_kind(self, cls, field):
@@ -521,7 +528,7 @@ def _built(spec, field: str, value):
 class TestEveryFieldInJson:
     """`from_dict` checks each field by the constructors' rule, `estimates._checked`."""
 
-    @pytest.mark.parametrize("cls, field", sorted(_EVERY_FIELD))
+    @pytest.mark.parametrize("cls, field", sorted(_JSON_FIELD))
     def test_a_misfit_is_a_spec_error_naming_the_kind_and_the_key(self, cls, field):
         spec, kind = _EVERY_FIELD[cls, field]
         key = f"{getattr(type(spec), 'tag', cls)}: key {field!r}"
@@ -534,7 +541,7 @@ class TestEveryFieldInJson:
                 # itself, or by the constructor, as a Python call with that value is
                 assert (isinstance(kind, type) and issubclass(kind, Spec)) or got == _built(spec, field, value)
 
-    @pytest.mark.parametrize("cls, field", sorted(_EVERY_FIELD))
+    @pytest.mark.parametrize("cls, field", sorted(_JSON_FIELD))
     def test_both_paths_refuse_a_misfit_with_the_same_tail(self, cls, field):
         spec, kind = _EVERY_FIELD[cls, field]
         kind = typing.get_args(kind)[0] if isinstance(kind, types.UnionType) else kind
@@ -571,7 +578,7 @@ class TestEveryFieldInJson:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
-        "cls, field", sorted(k for k, (_, kind) in _EVERY_FIELD.items() if kind in (float, tuple[float, ...]))
+        "cls, field", sorted(k for k, (_, kind) in _JSON_FIELD.items() if kind in (float, tuple[float, ...]))
     )
     def test_an_int_in_a_float_field_is_stored_as_a_float(self, cls, field):
         spec, kind = _EVERY_FIELD[cls, field]
@@ -631,7 +638,7 @@ def default_digit_limit():
 class TestIntsTooLongToWrite:
     """An int with more digits than `repr`, `str` and `json` write is a SpecError naming its digit count."""
 
-    @pytest.mark.parametrize("cls, field", sorted(_EVERY_FIELD))
+    @pytest.mark.parametrize("cls, field", sorted(_JSON_FIELD))
     def test_every_field_refuses_one_in_python_and_in_json(self, cls, field):
         """Among them RationalDecay.k, which wrote its own refusal, and Projection.k and
         TruncatedMean.m, which built specs that `repr` and `to_json` could not write."""
@@ -706,6 +713,9 @@ class TestAssociate:
         x = ts([1, -1, 1, -1])
         y = ts([1, 1, -1, -1], "y")
         assert associate(spec, x, y) == 0.0
+        # the tie tolerance, 1e-12 at distances up to 1, is inclusive: a hair further is no tie
+        assert _branch_value(0.0, 1e-12, RationalDecay(1.0)) == 0.0
+        assert _branch_value(0.0, 1e-12 * (1 + 5e-7), RationalDecay(1.0)) == 1.0
 
     def test_reflection_gives_minus_one(self):
         rng = np.random.default_rng(46)
@@ -1344,10 +1354,26 @@ def _decimal(q: Fraction) -> Decimal:
     return Decimal(q.numerator) / Decimal(q.denominator)
 
 
-def _exact_rho(x, y) -> Decimal:
-    """Pearson's correlation of integer series from exact sums, rounded only
-    at the current decimal precision."""
-    mx, my = Fraction(sum(x), len(x)), Fraction(sum(y), len(y))
+def _median(x) -> Fraction:
+    s, mid = sorted(x), len(x) // 2
+    return Fraction(s[mid]) if len(x) % 2 else Fraction(s[mid - 1] + s[mid], 2)
+
+
+# the exact center of each grid measure, by the name `default_grid_measures` gives it
+_EXACT_CENTERS = {
+    "mean": lambda x: Fraction(sum(x), len(x)),
+    "median": _median,
+    "midrange": lambda x: Fraction(min(x) + max(x), 2),
+    "projection2": lambda x: Fraction(x[1]),
+    "truncmean2": lambda x: Fraction(sum(sorted(x)[2:-2]), len(x) - 4),
+    "gmidrange02": lambda x: Fraction(sum(sorted(x)[:2] + sorted(x)[-2:]), 4),
+}
+
+
+def _exact_rho(x, y, center) -> Decimal:
+    """The cosine of the `center`-centered integer series from exact sums, rounded
+    only at the current decimal precision; Pearson's correlation for the mean."""
+    mx, my = center(x), center(y)
     sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
     sxx = sum((a - mx) ** 2 for a in x)
     syy = sum((b - my) ** 2 for b in y)
@@ -1364,17 +1390,22 @@ def _exact_branch(rho: Decimal) -> Decimal:
     return value if rho > 0 else -value
 
 
-# every route is rho itself but the branch; the contrast is
-# ((D(x, -y) / 2)^2 - (D(x, y) / 2)^2) = rho at r = 2 on unit vectors
+# (measure, its center, its value from rho). Each standardization is odd and maps a
+# series to a unit vector, so D(x, -y)^2 = 2 + 2 rho; every route is rho itself but
+# the branch, and the contrast is ((D(x, -y) / 2)^2 - (D(x, y) / 2)^2) = rho at r = 2
 _EXACT_ROUTES = [
-    (Pearson(), lambda rho: rho),
-    (CosineStandardized(UNIT_MEAN), lambda rho: rho),
-    (MinkowskiContrast(D2_UNIT, PowerHalf(2.0)), lambda rho: rho),
-    (MinkowskiBranch(D2_UNIT, RationalDecay(1.0)), _exact_branch),
+    (Pearson(), "mean", lambda rho: rho),
+    (CosineStandardized(UNIT_MEAN), "mean", lambda rho: rho),
+    (MinkowskiContrast(D2_UNIT, PowerHalf(2.0)), "mean", lambda rho: rho),
+    (MinkowskiBranch(D2_UNIT, RationalDecay(1.0)), "mean", _exact_branch),
+] + [
+    (m.measure, m.name.split("-", 1)[1], _exact_branch if m.name.startswith("branch-") else lambda rho: rho)
+    for m in default_grid_measures()
 ]
 _EXACT_TOL = 8 * 2.0**-52  # 8 eps, absolute
 
-integer_pairs = st.integers(3, 40).flatmap(
+# n >= 5, the least length of the truncated mean and the generalized midrange
+integer_pairs = st.integers(5, 40).flatmap(
     lambda n: st.tuples(*[st.lists(st.integers(-99, 99), min_size=n, max_size=n)] * 2)
 )
 
@@ -1382,7 +1413,7 @@ integer_pairs = st.integers(3, 40).flatmap(
 @given(integer_pairs)
 @example(([3, -7, 0, 12, 5], [2 * a + 3 for a in [3, -7, 0, 12, 5]]))  # rho = 1
 @example(([3, -7, 0, 12, 5], [-a for a in [3, -7, 0, 12, 5]]))  # rho = -1
-@example(([1, 2, 3], [1, -2, 1]))  # rho = 0, the branch tie
+@example(([1, 2, 3, 4, 5], [1, -1, 0, -1, 1]))  # rho = 0, the branch tie, for all centers but x[1]
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_values_lie_within_8_eps_of_the_exact_ones(pair):
     x, y = pair
@@ -1390,10 +1421,10 @@ def test_values_lie_within_8_eps_of_the_exact_ones(pair):
     vx, vy = np.array(x, dtype=np.float64), np.array(y, dtype=np.float64)
     with localcontext() as ctx:
         ctx.prec = 60
-        rho = _exact_rho(x, y)
-        for spec, exact in _EXACT_ROUTES:
-            error = abs(Decimal(associate_values(spec, vx, vy)) - exact(rho))
-            assert error <= Decimal(_EXACT_TOL), (type(spec).__name__, float(error / Decimal(2.0**-52)))
+        rhos = {name: _exact_rho(x, y, center) for name, center in _EXACT_CENTERS.items()}
+        for spec, center, exact in _EXACT_ROUTES:
+            error = abs(Decimal(associate_values(spec, vx, vy)) - exact(rhos[center]))
+            assert error <= Decimal(_EXACT_TOL), (spec, float(error / Decimal(2.0**-52)))
 
 
 class _Returns(MeasureSpec):
